@@ -3,6 +3,21 @@
 # workspace has no external dependencies, so every step runs offline.
 set -eu
 
+# Runs `cargo test -q ARGS` and fails unless at least one test passed:
+# cargo exits 0 when a name filter matches no test, so a renamed or
+# deleted test would otherwise drop out of a suite without a trace.
+named_test() {
+    out=$(cargo test -q "$@" 2>&1) || {
+        printf '%s\n' "$out"
+        return 1
+    }
+    printf '%s\n' "$out"
+    if ! printf '%s\n' "$out" | grep -Eq 'test result: ok\. [1-9][0-9]* passed'; then
+        echo "no test ran for: cargo test -q $*" >&2
+        return 1
+    fi
+}
+
 echo "== zero-dependency guard =="
 # every package is a path package: resolution must succeed offline
 # against the committed lock file, which names no registry or git source
@@ -41,19 +56,19 @@ echo "== benchmark harness (builds perfbench against the workspace API) =="
 python3 perfbench/run.py --test
 
 echo "== consistency tests (cache + incremental greedy vs reference) =="
-cargo test -q -p vqi-graph cache
-cargo test -q -p vqi-core bitset
+named_test -p vqi-graph cache
+named_test -p vqi-core bitset
 # the shared selection engine against its full-recompute reference,
 # over both coverage universes (graph positions and edge ids)
-cargo test -q -p vqi-core incremental_greedy_matches_reference
-cargo test -q -p midas swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache
+named_test -p vqi-core incremental_greedy_matches_reference
+named_test -p midas swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache
 
 echo "== kernel consistency tests (indexed/bounded kernels vs naive) =="
-cargo test -q -p vqi-graph indexed_matching_is_answer_identical_to_naive
-cargo test -q -p vqi-graph bounded_fold_is_bit_identical_to_exact_fold
-cargo test -q -p vqi-graph bounded_cached_folds_identically_and_keeps_entries_exact
-cargo test -q -p vqi-core bound_and_skip_changes_no_selection
-cargo test -q -p midas similarity_guard_matches_exact_path
+named_test -p vqi-graph indexed_matching_is_answer_identical_to_naive
+named_test -p vqi-graph bounded_fold_is_bit_identical_to_exact_fold
+named_test -p vqi-graph bounded_cached_folds_identically_and_keeps_entries_exact
+named_test -p vqi-core bound_and_skip_changes_no_selection
+named_test -p midas similarity_guard_matches_exact_path
 # the service's fingerprint-filtered, indexed query scan against a plain
 # VF2 scan of the pinned snapshot (the test sweeps caps 1/2/4 itself),
 # untouched slots keeping their index across an update, the select
@@ -61,10 +76,10 @@ cargo test -q -p midas similarity_guard_matches_exact_path
 # one compiled pattern plan reused across targets matching fresh searches
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-serve filtered_indexed_query_is_bit_identical_to_a_plain_scan
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-serve update_keeps_the_index_of_every_untouched_slot
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-serve select_cache_tells_fingerprint_twins_apart
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph one_plan_reused_across_targets_equals_fresh_searches
+    VQI_NUM_THREADS=$threads named_test -p vqi-serve filtered_indexed_query_is_bit_identical_to_a_plain_scan
+    VQI_NUM_THREADS=$threads named_test -p vqi-serve update_keeps_the_index_of_every_untouched_slot
+    VQI_NUM_THREADS=$threads named_test -p vqi-serve select_cache_tells_fingerprint_twins_apart
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph one_plan_reused_across_targets_equals_fresh_searches
 done
 
 echo "== thread-count invariance (parallel kernels vs sequential references) =="
@@ -72,16 +87,15 @@ echo "== thread-count invariance (parallel kernels vs sequential references) =="
 # count, so run the consistency tests twice with pinned defaults
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph parallel_counts_match_reference_across_thread_counts
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph --test properties exact_census_matches_esu_oracle_on_both_backends_across_caps
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph --test properties census_maintainer_sequence_matches_esu_oracle
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph parallel_supports_and_trussness_match_reference_across_thread_counts
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph seeded_sampling_is_thread_count_invariant
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph batch_canonicalization_matches_sequential_across_thread_counts
-    VQI_NUM_THREADS=$threads cargo test -q -p catapult selection_is_identical_across_thread_counts
-    VQI_NUM_THREADS=$threads cargo test -q -p tattoo selection_is_identical_across_thread_counts
-    VQI_NUM_THREADS=$threads cargo test -q -p midas maintenance_is_identical_across_thread_counts
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-modular selection_is_identical_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_counts_match_reference_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph --test properties exact_census_matches_esu_oracle_on_both_backends_across_caps
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph --test properties census_maintainer_sequence_matches_esu_oracle
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_supports_and_trussness_match_reference_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph batch_canonicalization_matches_sequential_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p catapult selection_is_identical_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p tattoo selection_is_identical_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p midas maintenance_is_identical_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p vqi-modular selection_is_identical_across_thread_counts
 done
 
 echo "== incremental consistency suite (delta kernels vs from-scratch) =="
@@ -92,12 +106,12 @@ echo "== incremental consistency suite (delta kernels vs from-scratch) =="
 # re-verify against their own from-scratch paths
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph maintainer_matches_fresh_peel_across_batches
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph census_maintainer_matches_fresh_count_across_batches
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph deletion_edge_cases_match_fresh_peel
-    VQI_NUM_THREADS=$threads cargo test -q -p tattoo incremental_kernels_and_caches_track_mutations
-    VQI_NUM_THREADS=$threads cargo test -q -p midas cached_census_matches_full_recompute
-    VQI_NUM_THREADS=$threads cargo test -q -p midas windowed_drift_escalates_sub_threshold_batches
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph maintainer_matches_fresh_peel_across_batches
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph census_maintainer_matches_fresh_count_across_batches
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph deletion_edge_cases_match_fresh_peel
+    VQI_NUM_THREADS=$threads named_test -p tattoo incremental_kernels_and_caches_track_mutations
+    VQI_NUM_THREADS=$threads named_test -p midas cached_census_matches_full_recompute
+    VQI_NUM_THREADS=$threads named_test -p midas windowed_drift_escalates_sub_threshold_batches
 done
 
 echo "== storage-equivalence suite (heap vs CSR backends, bit-identical) =="
@@ -108,8 +122,8 @@ echo "== storage-equivalence suite (heap vs CSR backends, bit-identical) =="
 # preserve the digest — run the suite at one and four workers
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-graph storage_
-    VQI_NUM_THREADS=$threads cargo test -q -p tattoo sharded_selection_matches_heap_backend
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph storage_
+    VQI_NUM_THREADS=$threads named_test -p tattoo sharded_selection_matches_heap_backend
 done
 
 echo "== fault-injection suite (each test sweeps seeds 1 and 2 internally) =="
@@ -118,11 +132,11 @@ echo "== fault-injection suite (each test sweeps seeds 1 and 2 internally) =="
 # one worker and to four
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
-    VQI_NUM_THREADS=$threads cargo test -q -p catapult -p tattoo -p midas -p vqi-modular injected_
-    VQI_NUM_THREADS=$threads cargo test -q -p catapult -p tattoo -p midas -p vqi-modular fail_fast
-    VQI_NUM_THREADS=$threads cargo test -q -p tattoo crashed_shards_are_retried_to_a_complete_result
-    VQI_NUM_THREADS=$threads cargo test -q -p tattoo exhausted_retries_drop_shards_deterministically
-    VQI_NUM_THREADS=$threads cargo test -q -p midas failed_census_keeps_previous_gfd_and_skips_maintenance
+    VQI_NUM_THREADS=$threads named_test -p catapult -p tattoo -p midas -p vqi-modular injected_
+    VQI_NUM_THREADS=$threads named_test -p catapult -p tattoo -p midas -p vqi-modular fail_fast
+    VQI_NUM_THREADS=$threads named_test -p tattoo crashed_shards_are_retried_to_a_complete_result
+    VQI_NUM_THREADS=$threads named_test -p tattoo exhausted_retries_drop_shards_deterministically
+    VQI_NUM_THREADS=$threads named_test -p midas failed_census_keeps_previous_gfd_and_skips_maintenance
 done
 
 echo "== trace validation (journal exporters + runtime-event integration) =="
@@ -130,8 +144,8 @@ echo "== trace validation (journal exporters + runtime-event integration) =="
 # emitted Chrome trace (balanced begin/end per thread, monotone
 # timestamps, every parent_id resolving) plus the fault/degradation
 # instants and per-run metric deltas
-cargo test -q -p vqi-observe journal
-cargo test -q -p vqi-cli trace_out
+named_test -p vqi-observe journal
+named_test -p vqi-cli trace_out
 # end-to-end: a real CLI run must emit a parseable trace and a metrics
 # snapshot carrying the kernel.* and fault.* counter families
 cargo build -q -p vqi-cli
@@ -169,18 +183,18 @@ echo "== crash-recovery suite (WAL + checkpoints, bit-identical restarts) =="
 # bit-identical to an uncrashed run — at one and four kernel workers
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-serve durable_
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-serve crash_matrix_recovers_bit_identical_state
-    VQI_NUM_THREADS=$threads cargo test -q -p vqi-serve concurrent_updates_publish_contiguous_epochs_in_lock_order
+    VQI_NUM_THREADS=$threads named_test -p vqi-serve durable_
+    VQI_NUM_THREADS=$threads named_test -p vqi-serve crash_matrix_recovers_bit_identical_state
+    VQI_NUM_THREADS=$threads named_test -p vqi-serve concurrent_updates_publish_contiguous_epochs_in_lock_order
 done
 
 echo "== corrupt-input suite (WAL segments + VQICSR01 images) =="
 # every byte-truncation and bit-flip of a WAL segment or a CSR image
 # must yield a clean truncation/Parse error — never a panic or an
 # OOM-sized allocation
-cargo test -q -p vqi-graph wal
-cargo test -q -p vqi-graph storage_image_truncation_and_bitflip_sweeps_yield_parse_errors
-cargo test -q -p vqi-serve durable_corrupt_checkpoints_are_rejected
+named_test -p vqi-graph wal
+named_test -p vqi-graph storage_image_truncation_and_bitflip_sweeps_yield_parse_errors
+named_test -p vqi-serve durable_corrupt_checkpoints_are_rejected
 
 echo "== durable serve smoke (bootstrap, restart, recover report) =="
 # boot a durable service, drive load, then restart from the WAL dir:

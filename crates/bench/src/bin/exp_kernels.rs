@@ -18,18 +18,15 @@
 //!    index vs the closure-tree, asserting all three return the same
 //!    hits (index builds are timed separately).
 //!
-//! A last table times the substrate kernels no other experiment
-//! times: sampled graphlet counting (RAND-ESU) and graph closure.
+//! A last table times the substrate kernel no other experiment times:
+//! graph closure.
 //!
 //! Writes `BENCH_kernels.json` at the repository root.
 
 use bench::{enable_metrics, numbers, print_table, report_counters, time_ms, write_bench_json};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use vqi_core::score::coverage_match_options;
 use vqi_datasets::{dblp_like, pubchem_like};
-use vqi_graph::generate::{chain, clique, cycle, erdos_renyi, star};
-use vqi_graph::graphlet::sample_graphlets;
+use vqi_graph::generate::{chain, clique, cycle, star};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::{
     count_embeddings, count_embeddings_indexed, covered_edges, covered_edges_indexed,
@@ -234,21 +231,15 @@ fn section_index() -> Json {
     )
 }
 
-/// Times the substrate kernels no other experiment times.
+/// Times the substrate kernel no other experiment times.
 fn section_substrates() {
-    let mut rng = SmallRng::seed_from_u64(3);
-    let g = erdos_renyi(60, 0.1, 0, &mut rng);
-    let (_, sample_ms) = time_ms(|| sample_graphlets(&g, 0.5, &mut rng));
     let chains: Vec<Graph> = (0..10).map(|i| chain(8 + i % 4, 1, 0)).collect();
     let refs: Vec<&Graph> = chains.iter().collect();
     let (_, closure_ms) = time_ms(|| closure_of(&refs));
     print_table(
         "Substrate kernels (ms)",
-        &[
-            "rand-esu graphlets, ER(60, 0.1), p=0.5",
-            "closure of 10 chains",
-        ],
-        &[vec![format!("{sample_ms:.2}"), format!("{closure_ms:.2}")]],
+        &["closure of 10 chains"],
+        &[vec![format!("{closure_ms:.2}")]],
     );
 }
 

@@ -29,7 +29,7 @@ use tattoo::shard::ShardedTattoo;
 use tattoo::TattooConfig;
 use vqi_core::budget::PatternBudget;
 use vqi_graph::generate::{synthetic_network, SyntheticSpec};
-use vqi_graph::graphlet::{count_graphlets_par, count_graphlets_storage};
+use vqi_graph::graphlet::count_graphlets_par;
 use vqi_graph::par;
 use vqi_graph::storage::{CsrGraph, GraphStorage};
 use vqi_graph::truss::trussness;
@@ -98,8 +98,8 @@ fn small(rows: &mut Vec<SizeRow>) {
             par::set_thread_cap(cap);
             let t_heap = trussness(&heap);
             let t_csr = trussness(&csr);
-            let c_heap = count_graphlets_par(&heap).counts.map(f64::to_bits);
-            let c_csr = count_graphlets_storage(&csr).counts.map(f64::to_bits);
+            let c_heap = count_graphlets_par(&heap).counts;
+            let c_csr = count_graphlets_par(&csr).counts;
             let s_heap = codes(&sel.run(&heap, &budget));
             let s_csr = codes(&sel.run(&csr, &budget));
             par::set_thread_cap(0);
@@ -138,7 +138,7 @@ fn small(rows: &mut Vec<SizeRow>) {
 
     mem::record_struct_bytes("csr_s1", csr.heap_bytes());
     let (_, truss_ms) = time_ms(|| trussness(&csr));
-    let (_, census_ms) = time_ms(|| count_graphlets_storage(&csr));
+    let (_, census_ms) = time_ms(|| count_graphlets_par(&csr));
     let budget = PatternBudget::new(5, 4, 6);
     let sel = ShardedTattoo::new(TattooConfig::default(), 8).with_score_shards(2);
     let (set, tattoo_ms) = time_ms(|| sel.run(&csr, &budget));
@@ -166,7 +166,7 @@ fn medium(rows: &mut Vec<SizeRow>) {
     println!("S2: {} nodes, {} edges", csr.node_count(), edges);
     mem::record_struct_bytes("csr_s2", csr.heap_bytes());
     let (_, truss_ms) = time_ms(|| trussness(&csr));
-    let (_, census_ms) = time_ms(|| count_graphlets_storage(&csr));
+    let (_, census_ms) = time_ms(|| count_graphlets_par(&csr));
     rows.push(SizeRow {
         size: "1e7",
         nodes: csr.node_count(),
@@ -198,7 +198,7 @@ fn large(rows: &mut Vec<SizeRow>) {
     mem::record_struct_bytes("csr_s3", csr.heap_bytes());
     let (_, truss_ms) = time_ms(|| trussness(&csr));
     println!("S3: truss peel done in {truss_ms:.0} ms");
-    let (_, census_ms) = time_ms(|| count_graphlets_storage(&csr));
+    let (_, census_ms) = time_ms(|| count_graphlets_par(&csr));
     println!("S3: exact census done in {census_ms:.0} ms");
     let budget = PatternBudget::new(5, 4, 6);
     let sel = ShardedTattoo::new(TattooConfig::default(), 64).with_score_shards(4);

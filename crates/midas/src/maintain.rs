@@ -14,7 +14,7 @@ use vqi_core::pattern::PatternSet;
 use vqi_core::repo::{BatchUpdate, GraphCollection};
 use vqi_core::score::{coverage_bitsets, QualityWeights};
 use vqi_graph::graphlet::{
-    euclidean_distance, sample_graphlets_seeded_ctrl, GraphletCounts, GRAPHLET_CLASSES,
+    count_graphlets_ctrl, euclidean_distance, GraphletCounts, GRAPHLET_CLASSES,
 };
 use vqi_graph::par;
 use vqi_graph::Graph;
@@ -32,14 +32,6 @@ pub struct MidasConfig {
     /// GFD Euclidean-distance threshold separating minor from major
     /// modifications.
     pub drift_threshold: f64,
-    /// RAND-ESU retention for GFD drift detection: per-depth descent
-    /// probability of the seeded graphlet sampler. At the default `1.0`
-    /// the sampler never consults its RNG and the GFD is bit-identical
-    /// to the exact distribution; values below 1.0 trade drift accuracy
-    /// for faster maintenance on large collections. The sample is a pure
-    /// function of `(collection, gfd_retention, seed)` at any thread
-    /// count.
-    pub gfd_retention: f64,
     /// Maximum feature distance at which a new graph joins an existing
     /// cluster; farther graphs found new clusters.
     pub assign_threshold: f64,
@@ -69,7 +61,6 @@ impl Default for MidasConfig {
     fn default() -> Self {
         MidasConfig {
             drift_threshold: 0.05,
-            gfd_retention: 1.0,
             assign_threshold: 0.4,
             mine: MineParams {
                 min_support: 2,
@@ -223,13 +214,9 @@ impl Midas {
             .collect();
 
         let mut census_cache = HashMap::new();
-        let (gfd, _, _) = Self::collection_gfd_cached(
-            &mut census_cache,
-            &collection,
-            &config,
-            &Budget::unlimited(),
-        )
-        .expect("unlimited-budget census cannot fail");
+        let (gfd, _, _) =
+            Self::collection_gfd_cached(&mut census_cache, &collection, &Budget::unlimited())
+                .expect("unlimited-budget census cannot fail");
         let pattern_bitsets = Self::bitsets_for(&patterns, &collection);
 
         Midas {
@@ -257,11 +244,9 @@ impl Midas {
     /// The collection's GFD via the per-graph census cache: only graphs
     /// with no cached counts (the batch's additions, or everything on a
     /// cold cache) are counted, in parallel, and live per-graph counts
-    /// are folded in ascending id order — the same order
-    /// `collection_distribution_sampled` folds in, and each graph's
-    /// census is the same pure function of `(graph, gfd_retention,
-    /// seed)`, so the cached distribution is bit-identical to a full
-    /// recompute at any thread count and any retention.
+    /// are folded in ascending id order. Each graph's census is exact
+    /// `u64` counts, so the cached distribution is bit-identical to a
+    /// full recompute at any thread count.
     ///
     /// Returns `(distribution, computed, reused)`. On error (budget
     /// trip inside the graphlet kernel — first failing id wins,
@@ -274,7 +259,6 @@ impl Midas {
     fn collection_gfd_cached(
         cache: &mut HashMap<usize, GraphletCounts>,
         collection: &GraphCollection,
-        config: &MidasConfig,
         ctrl: &Budget,
     ) -> Result<([f64; GRAPHLET_CLASSES], usize, usize), VqiError> {
         ctrl.check("kernel.graphlet")?;
@@ -291,7 +275,7 @@ impl Midas {
         vqi_observe::incr("midas.census.reused", reused as u64);
         let fresh: Vec<Result<GraphletCounts, VqiError>> = par::map(&missing, |&id| {
             let g = collection.get(id).expect("live id");
-            sample_graphlets_seeded_ctrl(g, config.gfd_retention, config.seed, ctrl)
+            count_graphlets_ctrl(g, ctrl)
         });
         let mut counted = Vec::with_capacity(computed);
         for r in fresh {
@@ -546,10 +530,10 @@ impl Midas {
         // per-batch drifts — so slow shifts spread across batches still
         // escalate instead of being re-baselined away each pass.
         let gfd_span = vqi_observe::span("midas.gfd_drift");
-        let (cache, collection, config) = (&mut self.census_cache, &self.collection, &self.config);
+        let (cache, collection) = (&mut self.census_cache, &self.collection);
         let census = run_stage(ctrl, "midas.gfd", || {
             fault::maybe_panic("midas.gfd", 0);
-            Self::collection_gfd_cached(cache, collection, config, ctrl)
+            Self::collection_gfd_cached(cache, collection, ctrl)
         })
         .and_then(|r| r);
         let (gfd_distance, windowed_drift, census_mode, census_computed, census_reused) =
@@ -1003,7 +987,7 @@ mod tests {
     #[test]
     fn cached_census_matches_full_recompute() {
         let _guard = crate::fault_test_lock();
-        use vqi_graph::graphlet::collection_distribution_sampled;
+        use vqi_graph::graphlet::count_graphlets_par;
         let mut m = Midas::bootstrap(
             GraphCollection::new(initial_graphs()),
             budget(),
@@ -1019,9 +1003,14 @@ mod tests {
         assert_eq!(r1.census_mode, CensusMode::Delta);
         assert_eq!(r1.census_computed, 2);
         assert_eq!(r1.census_reused, live - 2);
+        // a from-scratch census of every live graph, folded in
+        // collection order
         let fresh = |m: &Midas| {
-            let graphs: Vec<&Graph> = m.collection.iter().map(|(_, g)| g).collect();
-            collection_distribution_sampled(&graphs, m.config.gfd_retention, m.config.seed)
+            let mut total = GraphletCounts::default();
+            for (_, g) in m.collection.iter() {
+                total.add(&count_graphlets_par(g));
+            }
+            total.distribution()
         };
         assert_eq!(
             m.gfd().map(f64::to_bits),

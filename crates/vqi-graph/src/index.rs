@@ -188,8 +188,7 @@ pub struct NodeSig {
     pub nbr_bits: u64,
 }
 
-/// The splitmix64 finalizer — shared with the graphlet sampler's
-/// per-root seeding scheme.
+/// The splitmix64 finalizer — shared with the storage image digest.
 #[inline]
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -13,8 +13,9 @@
 //!   truss-oblivious split used by TATTOO;
 //! * [`delta`] — edge-churn batches ([`delta::EdgeDelta`]) consumed by the
 //!   incremental maintainers in [`truss`] and [`graphlet`];
-//! * [`graphlet`] — exact and sampled connected-graphlet counting (ESU /
-//!   RAND-ESU) and graphlet frequency distributions used by MIDAS;
+//! * [`graphlet`] — the exact connected-graphlet census (edge-local
+//!   counting, with ESU as the test oracle), its incremental maintainer,
+//!   and the graphlet frequency distributions used by MIDAS;
 //! * [`traversal`] — BFS/DFS, components, weighted random walks, and
 //!   connected-subgraph sampling;
 //! * [`generate`] — random-graph generators and the small "motif" shapes

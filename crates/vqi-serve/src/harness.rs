@@ -171,9 +171,8 @@ pub fn run_load(service: &VqiService, params: &LoadParams) -> LoadReport {
         report.isolation_checks += r.isolation_checks;
     }
     report.final_epoch = service.store().epoch();
-    // close the run with a memory sample: the serve smoke tests and
-    // exp_serve report `mem.rss_kb` / `mem.peak_rss_kb` alongside the
-    // latency tallies
+    // close the run with a memory sample: the serve smoke tests report
+    // `mem.rss_kb` / `mem.peak_rss_kb` alongside the latency tallies
     vqi_observe::mem::record_rss();
     report
 }

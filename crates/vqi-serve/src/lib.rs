@@ -38,7 +38,7 @@
 //!   wrapped in a run-scoped trace journal run, with latency histograms
 //!   and in-flight/queue-depth gauges in the observe registry.
 //! * [`harness`] — a deterministic closed-loop load generator used by
-//!   the `exp_serve` benchmark and the CLI `serve` smoke command.
+//!   the CLI `serve` smoke command and the isolation-race tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use vqi_graph::canon::canonical_code;
-use vqi_graph::graphlet::{graphlet_distribution, GRAPHLET_CLASSES};
+use vqi_graph::graphlet::{count_graphlets_par, GRAPHLET_CLASSES};
 use vqi_graph::iso::{are_isomorphic, is_subgraph_isomorphic, MatchOptions};
 use vqi_graph::truss::decompose;
 use vqi_graph::{Graph, NodeId};
@@ -86,7 +86,7 @@ fn gfd_is_a_distribution() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_graph(&mut rng, 8);
-        let d = graphlet_distribution(&g);
+        let d = count_graphlets_par(&g).distribution();
         let sum: f64 = d.iter().sum();
         let (zero, one) = (sum.abs() < 1e-9, (sum - 1.0).abs() < 1e-9);
         assert!(zero || one, "seed {seed}: sum = {sum}");
@@ -95,7 +95,7 @@ fn gfd_is_a_distribution() {
         for _ in 0..PERMUTATIONS {
             perm.shuffle(&mut rng);
             let h = g.permuted(&perm);
-            let dh = graphlet_distribution(&h);
+            let dh = count_graphlets_par(&h).distribution();
             for (a, b) in d.iter().zip(dh.iter()) {
                 assert!((a - b).abs() < 1e-9, "seed {seed}");
             }
