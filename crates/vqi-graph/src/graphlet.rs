@@ -891,6 +891,151 @@ mod tests {
         }
     }
 
+    fn binom(n: u64, k: u64) -> u64 {
+        (0..k).fold(1, |acc, i| acc * (n - i) / (i + 1))
+    }
+
+    #[test]
+    fn census_matches_closed_forms_on_cliques_and_stars() {
+        // K_n: every 3-set is a triangle and every 4-set a K4
+        for n in 3..=9usize {
+            let c = count_graphlets_par(&clique(n));
+            let mut expect = [0u64; GRAPHLET_CLASSES];
+            expect[1] = binom(n as u64, 3);
+            expect[7] = binom(n as u64, 4);
+            assert_eq!(c.counts, expect, "K{n}");
+        }
+        // a star with k leaves: every leaf pair is a P3 through the
+        // center and every leaf triple a claw
+        for k in 2..=9u32 {
+            let edges: Vec<(u32, u32)> = (1..=k).map(|l| (0, l)).collect();
+            let c = count_graphlets_par(&graph_of(k as usize + 1, &edges));
+            let mut expect = [0u64; GRAPHLET_CLASSES];
+            expect[0] = binom(k as u64, 2);
+            expect[3] = binom(k as u64, 3);
+            assert_eq!(c.counts, expect, "star with {k} leaves");
+        }
+    }
+
+    #[test]
+    fn census_of_a_disjoint_union_is_the_sum_of_its_components() {
+        use crate::generate::erdos_renyi;
+        let _guard = crate::kernel_test_lock();
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(300 + seed);
+            let a = erdos_renyi(14, 0.3, 0, &mut rng);
+            let b = erdos_renyi(11, 0.35, 0, &mut rng);
+            let offset = a.node_count() as u32;
+            let mut edges = Vec::new();
+            for (g, shift) in [(&a, 0), (&b, offset)] {
+                for e in g.edges() {
+                    let (u, v) = g.endpoints(e);
+                    edges.push((u.0 + shift, v.0 + shift));
+                }
+            }
+            let union = graph_of(a.node_count() + b.node_count(), &edges);
+            let mut expect = count_graphlets_par(&a);
+            expect.add(&count_graphlets_par(&b));
+            assert_eq!(count_graphlets_par(&union), expect, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn census_is_empty_below_three_nodes_and_without_edges() {
+        let tiny = [Graph::new(), path(1), path(2)];
+        let edgeless = graph_of(10, &[]);
+        // a perfect matching has edges but no connected 3-set
+        let matching = graph_of(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]);
+        for g in tiny.iter().chain([&edgeless, &matching]) {
+            let c = count_graphlets_par(g);
+            assert_eq!(c, GraphletCounts::default(), "{} nodes", g.node_count());
+            assert_eq!(c, count_graphlets(g));
+            assert!(c.distribution().iter().all(|&x| x == 0.0));
+            let m = CensusMaintainer::new(g);
+            assert_eq!(*m.counts(), c);
+        }
+    }
+
+    #[test]
+    fn census_ctrl_on_csr_backend_matches_heap_graph() {
+        use crate::generate::erdos_renyi;
+        use crate::storage::CsrGraph;
+        use vqi_runtime::Budget;
+        let _guard = crate::kernel_test_lock();
+        let unlimited = Budget::unlimited();
+        let tight = Budget::unlimited().with_kernel_ticks(10);
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(500 + seed);
+            let g = erdos_renyi(24, 0.25, 0, &mut rng);
+            let csr = CsrGraph::from_graph(&g);
+            assert_eq!(
+                count_graphlets_ctrl(&csr, &unlimited).expect("unlimited"),
+                count_graphlets(&g),
+                "seed {seed}"
+            );
+            // the backend does not change which node trips the quota
+            assert!(count_graphlets_ctrl(&csr, &tight).is_err(), "seed {seed}");
+            assert_eq!(
+                count_graphlets_ctrl(&csr, &tight),
+                count_graphlets_ctrl(&g, &tight),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn census_is_invariant_under_node_relabeling() {
+        use crate::generate::erdos_renyi;
+        use rand::seq::SliceRandom;
+        let _guard = crate::kernel_test_lock();
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(700 + seed);
+            let g = erdos_renyi(20, 0.25, 0, &mut rng);
+            let mut perm: Vec<usize> = (0..g.node_count()).collect();
+            perm.shuffle(&mut rng);
+            assert_eq!(
+                count_graphlets_par(&g.permuted(&perm)),
+                count_graphlets_par(&g),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn census_maintainer_insert_then_delete_restores_seed_counts() {
+        use crate::delta::EdgeDelta;
+        use crate::generate::erdos_renyi;
+        use rand::Rng;
+        let _guard = crate::kernel_test_lock();
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(900 + seed);
+            let g = erdos_renyi(18, 0.2, 0, &mut rng);
+            let mut m = CensusMaintainer::new(&g);
+            let seeded = *m.counts();
+            // growing the universe adds isolated nodes, which are in no
+            // graphlet
+            m.grow_nodes(22);
+            assert_eq!(m.node_count(), 22);
+            assert_eq!(*m.counts(), seeded, "seed {seed}: grow");
+            // insert fresh edges, some to the new nodes, then take them out
+            let mut fresh = Vec::new();
+            while fresh.len() < 8 {
+                let (u, v) = (rng.gen_range(0..22u32), rng.gen_range(0..22u32));
+                let (u, v) = (u.min(v), u.max(v));
+                let known = (u as usize) < g.node_count()
+                    && (v as usize) < g.node_count()
+                    && g.has_edge(NodeId(u), NodeId(v));
+                if u != v && !known && !fresh.contains(&(u, v)) {
+                    fresh.push((u, v));
+                }
+            }
+            let stats = m.apply(&EdgeDelta::inserting(fresh.clone()));
+            assert_eq!(stats.inserts, fresh.len());
+            m.apply(&EdgeDelta::deleting(fresh));
+            assert_eq!(*m.counts(), seeded, "seed {seed}: round trip");
+        }
+    }
+
     fn graph_of(n: usize, edges: &[(u32, u32)]) -> Graph {
         let mut g = Graph::new();
         for _ in 0..n {
