@@ -103,7 +103,9 @@ echo "== incremental consistency suite (delta kernels vs from-scratch) =="
 # census after every batch, at any worker count: property tests sweep
 # 12 seeds x insert/delete/mixed batches internally and pin caps 1/2/4,
 # and the consumers (tattoo network maintainer, MIDAS cached census)
-# re-verify against their own from-scratch paths
+# re-verify against their own from-scratch paths; MIDAS's FCT index must
+# hand out the exact VF2 feature vector of every live graph after every
+# batch (12 seeds, with removals, tombstones and a skipped FCT stage)
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
     VQI_NUM_THREADS=$threads named_test -p vqi-graph maintainer_matches_fresh_peel_across_batches
@@ -112,6 +114,7 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p tattoo incremental_kernels_and_caches_track_mutations
     VQI_NUM_THREADS=$threads named_test -p midas cached_census_matches_full_recompute
     VQI_NUM_THREADS=$threads named_test -p midas windowed_drift_escalates_sub_threshold_batches
+    VQI_NUM_THREADS=$threads named_test -p midas fct_vectors_
 done
 
 echo "== storage-equivalence suite (heap vs CSR backends, bit-identical) =="

@@ -33,11 +33,8 @@ const CHURN_LEVELS: [f64; 5] = [0.001, 0.005, 0.01, 0.05, 0.10];
 
 /// SplitMix64 step: a tiny deterministic stream without the rand crate.
 fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    *state = state.wrapping_add(rand::SPLITMIX64_GAMMA);
+    rand::splitmix64(*state)
 }
 
 /// A sparse uniform random network with a few planted 5-cliques: the

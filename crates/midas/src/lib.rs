@@ -14,7 +14,9 @@
 //!    refreshed — or **major** — pattern maintenance runs;
 //! 3. features are *frequent closed trees* (FCTs) rather than raw
 //!    frequent subtrees, because closedness is stable under small changes
-//!    and the [`vqi_mining::fct::FctIndex`] updates incrementally;
+//!    and the [`vqi_mining::fct::FctIndex`] updates incrementally; its
+//!    support sets are exact, so each graph's feature vector is read
+//!    off the index instead of being re-matched;
 //! 4. on a major modification, candidates are generated from the CSGs of
 //!    new and modified clusters and the pattern set is updated by a
 //!    **multi-scan swapping strategy** ([`swap`]) that only accepts swaps

@@ -20,7 +20,7 @@ use vqi_graph::par;
 use vqi_graph::Graph;
 use vqi_mining::closure::ClusterSummaryGraph;
 use vqi_mining::fct::FctIndex;
-use vqi_mining::features::{cosine_distance, FeatureSpace};
+use vqi_mining::features::cosine_distance;
 use vqi_mining::fst::MineParams;
 use vqi_runtime::error::panic_reason;
 use vqi_runtime::{fault, VqiError};
@@ -144,8 +144,9 @@ pub struct Midas {
     budget: PatternBudget,
     /// The maintained repository.
     pub collection: GraphCollection,
+    /// The FCT index; its closed trees are the feature vocabulary and
+    /// its support sets give the feature vectors.
     fct: FctIndex,
-    feature_space: FeatureSpace,
     clusters: Vec<ClusterInfo>,
     csgs: Vec<Option<ClusterSummaryGraph>>,
     /// The maintained canned pattern set.
@@ -181,18 +182,12 @@ impl Midas {
         let (patterns, state) = cat.run_with_state(&collection, &budget);
 
         // FCT index over the same collection
-        let graphs: Vec<Graph> = state
+        let graphs: Vec<(usize, &Graph)> = state
             .graph_ids
             .iter()
-            .map(|&id| collection.get(id).expect("live").clone())
+            .map(|&id| (id, collection.get(id).expect("live")))
             .collect();
         let fct = FctIndex::build(&graphs, config.mine);
-        let feature_space = FeatureSpace::new(
-            fct.closed_trees()
-                .iter()
-                .map(|t| t.tree.tree.clone())
-                .collect(),
-        );
 
         // clusters from the CATAPULT state
         let clusters: Vec<ClusterInfo> = state
@@ -224,7 +219,6 @@ impl Midas {
             budget,
             collection,
             fct,
-            feature_space,
             clusters,
             csgs,
             patterns,
@@ -351,32 +345,22 @@ impl Midas {
     ) -> Result<MaintenanceReport, VqiError> {
         let _run = vqi_observe::run("midas.apply_update");
         let removed = update.removals.clone();
-        let added_graphs = update.additions.clone();
         let new_ids = self.collection.apply(update);
         vqi_observe::incr("midas.update.added", new_ids.len() as u64);
         vqi_observe::incr("midas.update.removed", removed.len() as u64);
 
-        // 1. FCT maintenance. On failure the pre-batch feature space is
-        // kept: addition assignment below still works, just against
-        // stale features.
+        // 1. FCT maintenance. On failure the pre-batch vocabulary is
+        // kept and the index does not hold the batch's additions:
+        // addition assignment below probes them against stale features.
+        let collection_ref = &self.collection;
+        let indexed = |id: usize| {
+            let entry = collection_ref.entry(id).expect("live id");
+            (entry.graph(), entry.index())
+        };
         if let Err(e) = run_stage(ctrl, "midas.fct", || {
             fault::maybe_panic("midas.fct", 0);
             let _s = vqi_observe::span("midas.fct_maintain");
-            let added_pairs: Vec<(usize, &Graph)> = new_ids
-                .iter()
-                .map(|&id| (id, self.collection.get(id).expect("just added")))
-                .collect();
-            let collection_ref = &self.collection;
-            self.fct.apply_batch(&added_pairs, &removed, |id| {
-                collection_ref.get(id).expect("live id")
-            });
-            self.feature_space = FeatureSpace::new(
-                self.fct
-                    .closed_trees()
-                    .iter()
-                    .map(|t| t.tree.tree.clone())
-                    .collect(),
-            );
+            self.fct.apply_batch(&new_ids, &removed, indexed);
         }) {
             deg.absorb(ctrl, e)?;
         }
@@ -426,17 +410,18 @@ impl Midas {
                 .collect();
         }
 
-        for (&id, g) in new_ids.iter().zip(added_graphs.iter()) {
-            let vec_new = self.feature_space.vector(g);
-            let assigned = self
-                .clusters
+        // Feature vectors of every medoid and every addition, read off
+        // the FCT index once per batch. Assignment never moves a medoid,
+        // so `medoid_vecs` stays aligned with `clusters`.
+        let mut wanted: Vec<usize> = self.clusters.iter().map(|c| c.medoid).collect();
+        wanted.extend(&new_ids);
+        let mut medoid_vecs = self.fct.vectors(&wanted, indexed);
+        let added_vecs = medoid_vecs.split_off(self.clusters.len());
+        for (&id, vec_new) in new_ids.iter().zip(added_vecs) {
+            let assigned = medoid_vecs
                 .iter()
+                .map(|vec_medoid| cosine_distance(&vec_new, vec_medoid))
                 .enumerate()
-                .map(|(ci, c)| {
-                    let medoid_graph = self.collection.get(c.medoid).expect("live medoid");
-                    let vec_medoid = self.feature_space.vector(medoid_graph);
-                    (ci, cosine_distance(&vec_new, &vec_medoid))
-                })
                 .min_by(|a, b| a.1.total_cmp(&b.1));
             match assigned {
                 Some((ci, d)) if d <= self.config.assign_threshold => {
@@ -448,6 +433,7 @@ impl Midas {
                         members: vec![id],
                         medoid: id,
                     });
+                    medoid_vecs.push(vec_new);
                     touched.push(self.clusters.len() - 1);
                 }
             }
@@ -1176,5 +1162,118 @@ mod tests {
         assert!(m
             .apply_update_ctrl(BatchUpdate::adding(major_batch()), &strict)
             .is_err());
+    }
+
+    /// Checks that the FCT index hands out, for every live graph, the
+    /// vector `FeatureSpace::vector` computes over the closed trees, and
+    /// that every support entry names a graph the index holds.
+    fn assert_index_vectors_exact(m: &Midas, context: &str) {
+        use vqi_mining::features::FeatureSpace;
+        let space = FeatureSpace::new(m.fct.closed_trees().map(|t| t.tree.tree.clone()).collect());
+        let ids = m.collection.ids();
+        let got = m.fct.vectors(&ids, |id| {
+            let e = m.collection.entry(id).expect("live id");
+            (e.graph(), e.index())
+        });
+        for (&id, v) in ids.iter().zip(&got) {
+            let want = space.vector(m.collection.get(id).expect("live id"));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(v), bits(&want), "{context}: vector of id {id}");
+        }
+        for t in m.fct.frequent_trees() {
+            assert!(
+                t.tree.support_set.iter().all(|&id| m.fct.holds(id)),
+                "{context}: support entry of a graph the index does not hold"
+            );
+        }
+    }
+
+    /// `aids_like` molecules in slots, every `hole`-th slot tombstoned.
+    fn molecules_with_holes(count: usize, hole: usize, seed: u64) -> GraphCollection {
+        let graphs = vqi_datasets::aids_like(vqi_datasets::MoleculeParams {
+            count,
+            seed,
+            ..Default::default()
+        });
+        GraphCollection::from_slots(
+            graphs
+                .into_iter()
+                .enumerate()
+                .map(|(i, g)| (i % hole != 0).then_some(g))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn fct_vectors_on_recovered_slots_are_keyed_by_id() {
+        let _guard = crate::fault_test_lock();
+        // a recovered collection: tombstones shift every position off
+        // its id, so support sets keyed by position name dead graphs
+        let collection = molecules_with_holes(60, 5, 17);
+        let m = Midas::bootstrap(collection, budget(), MidasConfig::default());
+        assert!(m.fct.closed_trees().count() > 0);
+        assert!(!m.fct.holds(0) && m.fct.holds(1));
+        for t in m.fct.frequent_trees() {
+            assert!(
+                t.tree
+                    .support_set
+                    .iter()
+                    .all(|&id| m.collection.get(id).is_some()),
+                "a support entry names a tombstone"
+            );
+        }
+        assert_index_vectors_exact(&m, "bootstrap");
+    }
+
+    #[test]
+    fn fct_vectors_match_feature_space_property() {
+        let _guard = crate::fault_test_lock();
+        use rand::Rng;
+        use vqi_runtime::fault::FaultPlan;
+        for seed in 0..12u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut m = Midas::bootstrap(
+                molecules_with_holes(24, 4 + seed as usize % 3, seed),
+                budget(),
+                MidasConfig::default(),
+            );
+            assert_index_vectors_exact(&m, &format!("seed {seed} bootstrap"));
+            let pool = vqi_datasets::aids_like(vqi_datasets::MoleculeParams {
+                count: 12,
+                seed: seed + 1000,
+                ..Default::default()
+            });
+            let skipped_batch = rng.gen_range(0..4usize);
+            for b in 0..5 {
+                let live = m.collection.ids();
+                let removals = (0..rng.gen_range(0..3usize))
+                    .map(|_| live[rng.gen_range(0..live.len())])
+                    .collect();
+                let additions = (0..rng.gen_range(0..4usize))
+                    .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+                    .collect();
+                let batch = BatchUpdate {
+                    additions,
+                    removals,
+                };
+                // at the skipped batch every stage site fires once, so
+                // `midas.fct` is skipped and the additions go unheld
+                let plan = (b == skipped_batch).then(|| {
+                    with_plan(FaultPlan {
+                        seed,
+                        panic_rate: 1.0,
+                        ..Default::default()
+                    })
+                });
+                let out = m
+                    .apply_update_ctrl(batch, &Budget::unlimited())
+                    .expect("non-fail-fast never errors");
+                if plan.is_some() {
+                    assert!(!out.completeness.is_complete(), "seed {seed}: no fault");
+                }
+                drop(plan);
+                assert_index_vectors_exact(&m, &format!("seed {seed} batch {b}"));
+            }
+        }
     }
 }

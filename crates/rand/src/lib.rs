@@ -11,6 +11,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The SplitMix64 finalizer: a bijective 64-bit mixer. [`rngs::SmallRng`]
+/// applies it to a Weyl sequence; the workspace's digests, fault
+/// decisions and benchmark streams use it directly.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+/// The SplitMix64 Weyl increment (the golden-ratio constant).
+pub const SPLITMIX64_GAMMA: u64 = 0x9E3779B97F4A7C15;
+
 /// Core source of randomness.
 pub trait RngCore {
     /// Next 64 random bits.
@@ -114,11 +127,8 @@ pub mod rngs {
 
     impl crate::RngCore for SmallRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
+            self.state = self.state.wrapping_add(crate::SPLITMIX64_GAMMA);
+            crate::splitmix64(self.state)
         }
     }
 

@@ -20,18 +20,20 @@
 //! FIFO, which costs more than the match itself once the pattern is
 //! compiled into an [`iso::PatternPlan`](crate::iso::PatternPlan).
 //!
-//! The memo is sharded (16 ways), capacity-bounded with FIFO eviction,
-//! and instrumented: counters `cache.mcs.hit`, `cache.mcs.miss`, and
-//! `cache.mcs.evict` land in the `vqi-observe` registry when metrics are
-//! enabled. Values are computed *outside* the shard lock, so a race can
-//! at worst duplicate a computation, never block other shards on it.
+//! The memo is sharded (16 ways) and capacity-bounded with FIFO
+//! eviction; each entry's key is stored once, shared by the map and the
+//! FIFO through one `Arc`. It is instrumented: counters `cache.mcs.hit`,
+//! `cache.mcs.miss`, and `cache.mcs.evict` land in the `vqi-observe`
+//! registry when metrics are enabled. Values are computed *outside* the
+//! shard lock, so a race can at worst duplicate a computation, never
+//! block other shards on it.
 
 use crate::canon::CanonicalCode;
 use crate::graph::Graph;
 use crate::mcs;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 const SHARDS: usize = 16;
 
@@ -45,11 +47,12 @@ pub struct Memo<K, V> {
 }
 
 struct Shard<K, V> {
-    map: HashMap<K, V>,
-    order: VecDeque<K>,
+    map: HashMap<Arc<K>, V>,
+    /// Insertion order for FIFO eviction; shares each key with `map`.
+    order: VecDeque<Arc<K>>,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     /// A memo named `kernel` (for metrics) holding at most `capacity`
     /// entries across all shards.
     pub fn new(kernel: &str, capacity: usize) -> Self {
@@ -104,7 +107,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                     vqi_observe::incr(&self.evict_name, 1);
                 }
             }
-            guard.order.push_back(key.clone());
+            let key = Arc::new(key);
+            guard.order.push_back(Arc::clone(&key));
             guard.map.insert(key, value);
         }
     }

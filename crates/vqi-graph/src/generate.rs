@@ -12,7 +12,7 @@
 
 use crate::graph::{Graph, Label, NodeId};
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{splitmix64, Rng, SPLITMIX64_GAMMA};
 
 /// Erdős–Rényi `G(n, p)` with all nodes labeled `label` and all edges
 /// labeled 0. Use [`assign_labels`] afterwards for richer labelings.
@@ -268,17 +268,13 @@ impl SyntheticSpec {
 
     /// The label of node `v` — a pure hash of `(seed, v)`.
     pub fn node_label(&self, v: NodeId) -> Label {
-        let h = crate::index::mix64(
-            self.seed ^ 0x4E4F_4445 ^ (v.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
+        let h = splitmix64(self.seed ^ 0x4E4F_4445 ^ (v.0 as u64).wrapping_mul(SPLITMIX64_GAMMA));
         (h % self.node_labels.max(1) as u64) as Label
     }
 
     /// The label of the `k`-th emitted edge — a pure hash of `(seed, k)`.
     fn edge_label(&self, k: usize) -> Label {
-        let h = crate::index::mix64(
-            self.seed ^ 0x4544_4745 ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
+        let h = splitmix64(self.seed ^ 0x4544_4745 ^ (k as u64).wrapping_mul(SPLITMIX64_GAMMA));
         (h % self.edge_labels.max(1) as u64) as Label
     }
 
@@ -293,7 +289,7 @@ impl SyntheticSpec {
         let mut l = x >> half;
         let mut r = x & mask;
         for round in 0..4u64 {
-            let f = crate::index::mix64(self.seed ^ (round << 56) ^ r) & mask;
+            let f = splitmix64(self.seed ^ (round << 56) ^ r) & mask;
             let next_r = l ^ f;
             l = r;
             r = next_r;

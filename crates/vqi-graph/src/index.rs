@@ -28,6 +28,7 @@
 //! changes an answer, it only lets the kernels refuse doomed work early.
 
 use crate::graph::{EdgeId, Graph, Label, NodeId, WILDCARD_LABEL};
+use rand::splitmix64;
 
 /// Compresses a sorted label sequence into `(label, count)` runs.
 fn histogram(mut labels: Vec<Label>) -> Vec<(Label, u32)> {
@@ -188,17 +189,9 @@ pub struct NodeSig {
     pub nbr_bits: u64,
 }
 
-/// The splitmix64 finalizer — shared with the storage image digest.
-#[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[inline]
 fn nbr_bit(nbr_label: Label, edge_label: Label) -> u64 {
-    1u64 << (mix64(((nbr_label as u64) << 32) | edge_label as u64) & 63)
+    1u64 << (splitmix64(((nbr_label as u64) << 32) | edge_label as u64) & 63)
 }
 
 /// Computes the invariant signature of one node (used for pattern

@@ -35,7 +35,7 @@
 //! `exp_scale` ceiling fit this machine.
 
 use crate::graph::{EdgeId, Graph, Label, NodeId, SortedAdjacency};
-use crate::index::mix64;
+use rand::splitmix64;
 use std::io::{Read, Write};
 use std::path::Path;
 use vqi_runtime::VqiError;
@@ -314,7 +314,7 @@ impl CsrGraph {
     /// and by the round-trip tests.
     pub fn digest(&self) -> u64 {
         let mut h = 0x5EED_C5A0_1234_ABCDu64;
-        let mut fold = |x: u64| h = mix64(h ^ x);
+        let mut fold = |x: u64| h = splitmix64(h ^ x);
         fold(self.node_labels.len() as u64);
         fold(self.endpoints.len() as u64);
         for &l in &self.node_labels {

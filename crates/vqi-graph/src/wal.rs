@@ -33,6 +33,7 @@
 
 use crate::delta::EdgeDelta;
 use crate::graph::{Graph, NodeId};
+use rand::splitmix64;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -48,19 +49,12 @@ pub const MAX_RECORD_BYTES: usize = 1 << 30;
 const FRAME_HEADER: usize = 4 + 8; // len + epoch
 const FRAME_TRAILER: usize = 8; // digest
 
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 /// Splitmix64 fold over a byte slice: 8-byte little-endian chunks, then
 /// the zero-padded tail, then the length — the digest used by WAL
 /// records and the `vqi-serve` checkpoint container.
 pub fn bytes_digest(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
-    let mut fold = |x: u64| h = mix64(h ^ x);
+    let mut fold = |x: u64| h = splitmix64(h ^ x);
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         fold(u64::from_le_bytes(c.try_into().expect("8 bytes")));
@@ -76,7 +70,7 @@ pub fn bytes_digest(seed: u64, bytes: &[u8]) -> u64 {
 }
 
 fn record_digest(epoch: u64, payload: &[u8]) -> u64 {
-    bytes_digest(0x57_A1D1_6E57 ^ mix64(epoch), payload)
+    bytes_digest(0x57_A1D1_6E57 ^ splitmix64(epoch), payload)
 }
 
 fn io_err(path: &Path, what: &str, e: std::io::Error) -> VqiError {

@@ -10,6 +10,7 @@
 //! embedding) meets the threshold. Anti-monotonicity of support makes the
 //! level-wise search complete for the configured size bound.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use vqi_graph::canon::{canonical_code, CanonicalCode};
 use vqi_graph::iso::{MatchOptions, PatternPlan};
@@ -57,13 +58,18 @@ impl Default for MineParams {
 }
 
 /// Mines all frequent subtrees of up to `params.max_nodes` nodes.
-pub fn mine_frequent_subtrees(graphs: &[Graph], params: MineParams) -> Vec<FrequentTree> {
+/// Support sets name positions in `graphs`, ascending.
+pub fn mine_frequent_subtrees<G: Borrow<Graph>>(
+    graphs: &[G],
+    params: MineParams,
+) -> Vec<FrequentTree> {
     let min_sup = params.min_support.max(1);
     let mut result: Vec<FrequentTree> = Vec::new();
 
     // level 1: frequent node labels
     let mut label_support: HashMap<Label, Vec<usize>> = HashMap::new();
     for (gi, g) in graphs.iter().enumerate() {
+        let g = g.borrow();
         let mut labels: Vec<Label> = g.nodes().map(|v| g.node_label(v)).collect();
         labels.sort_unstable();
         labels.dedup();
@@ -90,6 +96,7 @@ pub fn mine_frequent_subtrees(graphs: &[Graph], params: MineParams) -> Vec<Frequ
     let mut ext_pairs: Vec<(Label, Label)> = {
         let mut set = HashSet::new();
         for g in graphs {
+            let g = g.borrow();
             for e in g.edges() {
                 let (u, v) = g.endpoints(e);
                 set.insert((g.edge_label(e), g.node_label(u)));
@@ -126,7 +133,7 @@ pub fn mine_frequent_subtrees(graphs: &[Graph], params: MineParams) -> Vec<Frequ
                         .iter()
                         .copied()
                         .filter(|&gi| {
-                            plan.is_subgraph_of(&graphs[gi], None, MatchOptions::default())
+                            plan.is_subgraph_of(graphs[gi].borrow(), None, MatchOptions::default())
                         })
                         .collect();
                     if support_set.len() >= min_sup {
@@ -254,7 +261,7 @@ mod tests {
 
     #[test]
     fn empty_collection() {
-        let trees = mine_frequent_subtrees(&[], MineParams::default());
+        let trees = mine_frequent_subtrees::<Graph>(&[], MineParams::default());
         assert!(trees.is_empty());
     }
 

@@ -3,6 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::{is_subgraph_isomorphic, MatchOptions};
 use vqi_graph::traversal::is_connected;
 use vqi_graph::{Graph, NodeId};
@@ -91,24 +92,21 @@ fn fct_incremental_matches_rebuild() {
         let mut all = initial.clone();
         all.extend(added.iter().cloned());
 
-        let mut idx = FctIndex::build(&initial, PARAMS);
-        let pairs: Vec<(usize, &Graph)> = added
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (initial.len() + i, g))
-            .collect();
-        idx.apply_batch(&pairs, &[], |i| &all[i]);
+        let indexes: Vec<GraphIndex> = all.iter().map(GraphIndex::build).collect();
+        let pairs = |n: usize| -> Vec<(usize, &Graph)> { all.iter().take(n).enumerate().collect() };
 
-        let rebuilt = FctIndex::build(&all, PARAMS);
+        let mut idx = FctIndex::build(&pairs(initial.len()), PARAMS);
+        let added_ids: Vec<usize> = (initial.len()..all.len()).collect();
+        idx.apply_batch(&added_ids, &[], |i| (&all[i], &indexes[i]));
+
+        let rebuilt = FctIndex::build(&pairs(all.len()), PARAMS);
         let inc: Vec<_> = idx
             .frequent_trees()
-            .iter()
-            .map(|t| (t.tree.code.clone(), t.tree.support(), t.closed))
+            .map(|t| (t.tree.code.clone(), t.tree.support_set.clone(), t.closed))
             .collect();
         let reb: Vec<_> = rebuilt
             .frequent_trees()
-            .iter()
-            .map(|t| (t.tree.code.clone(), t.tree.support(), t.closed))
+            .map(|t| (t.tree.code.clone(), t.tree.support_set.clone(), t.closed))
             .collect();
         assert_eq!(inc, reb, "seed {seed}");
     }

@@ -18,6 +18,7 @@
 //! counter; retry sites bump `fault.retried`; pipelines bump
 //! `fault.degraded` when a stage is cut.
 
+use rand::{splitmix64, SPLITMIX64_GAMMA};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -130,13 +131,6 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer: the bit mixer used throughout the workspace.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 const KIND_PANIC: u64 = 0x50414e49; // "PANI"
 const KIND_TIMEOUT: u64 = 0x54494d45; // "TIME"
 const KIND_NAN: u64 = 0x4e414e53; // "NANS"
@@ -153,12 +147,12 @@ fn decide(kind: u64, site: &str, key: u64, rate: impl Fn(&FaultPlan) -> f64) -> 
     if r <= 0.0 {
         return false;
     }
-    let h = mix64(
+    let h = splitmix64(
         st.plan
             .seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_mul(SPLITMIX64_GAMMA)
             .wrapping_add(fnv1a(site))
-            ^ mix64(key.wrapping_add(kind)),
+            ^ splitmix64(key.wrapping_add(kind)),
     );
     // map the hash to [0, 1) and compare against the rate
     let u = (h >> 11) as f64 / (1u64 << 53) as f64;
@@ -216,12 +210,12 @@ fn decide_crash(site: &str, key: u64) -> Option<u64> {
             return None;
         }
     }
-    let h = mix64(
+    let h = splitmix64(
         st.plan
             .seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_mul(SPLITMIX64_GAMMA)
             .wrapping_add(fnv1a(site))
-            ^ mix64(key.wrapping_add(KIND_CRASH)),
+            ^ splitmix64(key.wrapping_add(KIND_CRASH)),
     );
     let u = (h >> 11) as f64 / (1u64 << 53) as f64;
     if u >= r {
@@ -261,7 +255,7 @@ pub fn torn_write(site: &str, key: u64, len: usize) -> Option<usize> {
     if len == 0 {
         return None;
     }
-    decide_crash(site, key).map(|h| (mix64(h ^ 0x70524e) % len as u64) as usize)
+    decide_crash(site, key).map(|h| (splitmix64(h ^ 0x70524e) % len as u64) as usize)
 }
 
 #[cfg(test)]

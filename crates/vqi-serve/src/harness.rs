@@ -141,11 +141,8 @@ impl LoadReport {
 }
 
 fn mix(seed: u64, stream: u64) -> u64 {
-    // splitmix64 finalizer: decorrelates per-session streams
-    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    // the splitmix64 finalizer decorrelates per-session streams
+    rand::splitmix64(seed ^ stream.wrapping_mul(rand::SPLITMIX64_GAMMA))
 }
 
 /// Drives `params.sessions` concurrent session threads against
