@@ -84,7 +84,9 @@ done
 
 echo "== thread-count invariance (parallel kernels vs sequential references) =="
 # the whole suite must produce bit-identical selections at any worker
-# count, so run the consistency tests twice with pinned defaults
+# count, so run the consistency tests twice with pinned defaults; the
+# occurrence-driven subtree miner is checked against its
+# generate-and-test oracle at both counts
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
     VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_counts_match_reference_across_thread_counts
@@ -92,6 +94,7 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-graph --test properties census_maintainer_sequence_matches_esu_oracle
     VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_supports_and_trussness_match_reference_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p vqi-graph batch_canonicalization_matches_sequential_across_thread_counts
+    VQI_NUM_THREADS=$threads named_test -p vqi-mining occurrence_miner_matches_generate_and_test_oracle
     VQI_NUM_THREADS=$threads named_test -p catapult selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p tattoo selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p midas maintenance_is_identical_across_thread_counts

@@ -13,7 +13,7 @@ use vqi_core::selector::PatternSelector;
 use vqi_mining::closure::ClusterSummaryGraph;
 use vqi_mining::cluster::{k_medoids, Clustering, DistanceMatrix};
 use vqi_mining::features::{cosine_distance, FeatureSpace};
-use vqi_mining::fst::{mine_frequent_subtrees, MineParams};
+use vqi_mining::fst::{mine_frequent_subtrees_indexed, MineParams};
 use vqi_runtime::{error::panic_reason, fault, VqiError};
 
 /// CATAPULT configuration.
@@ -154,9 +154,13 @@ impl Catapult {
         let cfg = &self.config;
         let graph_ids = collection.ids();
         let n = graph_ids.len();
-        let graphs: Vec<vqi_graph::Graph> = graph_ids
+        // each graph with its stored index, borrowed from the collection
+        let graphs: Vec<(&vqi_graph::Graph, &vqi_graph::index::GraphIndex)> = graph_ids
             .iter()
-            .map(|&id| collection.get(id).expect("live id").clone())
+            .map(|&id| {
+                let entry = collection.entry(id).expect("live id");
+                (entry.graph(), entry.index())
+            })
             .collect();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
@@ -165,18 +169,21 @@ impl Catapult {
             let _s = vqi_observe::span("catapult.mine");
             fault::maybe_panic("catapult.mine", 0);
             let min_support = ((cfg.min_support_frac * n as f64).ceil() as usize).max(1);
-            let mined = mine_frequent_subtrees(
+            let mined = mine_frequent_subtrees_indexed(
                 &graphs,
                 MineParams {
                     min_support,
                     max_nodes: cfg.max_feature_nodes,
                 },
             );
-            let dfs: Vec<usize> = mined.iter().map(|t| t.support()).collect();
-            let trees: Vec<vqi_graph::Graph> = mined.into_iter().map(|t| t.tree).collect();
+            let (trees, support_sets): (Vec<vqi_graph::Graph>, Vec<Vec<usize>>) =
+                mined.into_iter().map(|t| (t.tree, t.support_set)).unzip();
             vqi_observe::incr("catapult.mine.features", trees.len() as u64);
+            let dfs: Vec<usize> = support_sets.iter().map(Vec::len).collect();
             let feature_space = FeatureSpace::with_idf(trees, &dfs, n.max(1));
-            let feature_vectors = feature_space.vectors(&graphs);
+            // the miner's support sets are exact: the vectors are their
+            // transpose, with no second round of matching
+            let feature_vectors = feature_space.vectors_from_support_sets(&support_sets, n);
             (feature_space, feature_vectors)
         });
         let (feature_space, feature_vectors) = match mined {

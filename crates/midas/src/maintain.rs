@@ -352,15 +352,23 @@ impl Midas {
         // 1. FCT maintenance. On failure the pre-batch vocabulary is
         // kept and the index does not hold the batch's additions:
         // addition assignment below probes them against stale features.
+        // The index drops every id it holds that the collection no
+        // longer does: this batch's removals and those of any earlier
+        // batch whose stage was skipped, so no dead id is ever looked up.
         let collection_ref = &self.collection;
         let indexed = |id: usize| {
             let entry = collection_ref.entry(id).expect("live id");
             (entry.graph(), entry.index())
         };
+        let dead: Vec<usize> = self
+            .fct
+            .held()
+            .filter(|&id| collection_ref.get(id).is_none())
+            .collect();
         if let Err(e) = run_stage(ctrl, "midas.fct", || {
             fault::maybe_panic("midas.fct", 0);
             let _s = vqi_observe::span("midas.fct_maintain");
-            self.fct.apply_batch(&new_ids, &removed, indexed);
+            self.fct.apply_batch(&new_ids, &dead, indexed);
         }) {
             deg.absorb(ctrl, e)?;
         }
@@ -1274,6 +1282,60 @@ mod tests {
                 drop(plan);
                 assert_index_vectors_exact(&m, &format!("seed {seed} batch {b}"));
             }
+        }
+    }
+
+    #[test]
+    fn fct_vectors_drop_ids_removed_while_the_stage_was_skipped() {
+        let _guard = crate::fault_test_lock();
+        use vqi_runtime::fault::FaultPlan;
+        let molecules = |count, seed| {
+            vqi_datasets::aids_like(vqi_datasets::MoleculeParams {
+                count,
+                seed,
+                ..Default::default()
+            })
+        };
+        let pool = molecules(12, 1005);
+        let mut m = Midas::bootstrap(
+            GraphCollection::new(molecules(40, 5)),
+            budget(),
+            MidasConfig::default(),
+        );
+        let victim = m.collection.ids()[3];
+        assert!(m.fct.holds(victim));
+        // every stage site fires once: `midas.fct` never sees the removal
+        let plan = with_plan(FaultPlan {
+            seed: 1,
+            panic_rate: 1.0,
+            ..Default::default()
+        });
+        let out = m
+            .apply_update_ctrl(BatchUpdate::removing(vec![victim]), &Budget::unlimited())
+            .expect("non-fail-fast never errors");
+        assert!(!out.completeness.is_complete());
+        drop(plan);
+        for b in 0..6 {
+            let live = m.collection.ids();
+            let batch = BatchUpdate {
+                additions: pool[2 * b..2 * b + 2].to_vec(),
+                removals: vec![live[7 * b % live.len()]],
+            };
+            let out = m
+                .apply_update_ctrl(batch, &Budget::unlimited())
+                .expect("non-fail-fast never errors");
+            assert!(out.completeness.is_complete(), "batch {b}: {out:?}");
+            assert!(!m.fct.holds(victim), "batch {b}");
+            for t in m.fct.frequent_trees() {
+                assert!(
+                    t.tree
+                        .support_set
+                        .iter()
+                        .all(|&id| m.collection.get(id).is_some()),
+                    "batch {b}: a support set names a removed graph"
+                );
+            }
+            assert_index_vectors_exact(&m, &format!("batch {b}"));
         }
     }
 }

@@ -25,15 +25,19 @@
 
 use crate::graph::{Graph, Label, NodeId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sentinel for "no edge" inside a code chunk; larger than any label so
 /// present edges sort first.
 const ABSENT: u64 = u64::MAX;
 
 /// A canonical code. Equality implies graph isomorphism.
+///
+/// The words are shared: a clone (a memo key, a dedup set entry) points
+/// at the same words instead of copying them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CanonicalCode {
-    code: Vec<u64>,
+    code: Arc<[u64]>,
     /// True if the branch-and-bound search exhausted its budget; the code
     /// is then deterministic but possibly not minimal.
     truncated: bool,
@@ -263,7 +267,7 @@ pub fn canonical_codes(graphs: &[Graph]) -> Vec<CanonicalCode> {
 pub fn canonical_code_budgeted(g: &Graph, budget: u64) -> CanonicalCode {
     if g.node_count() == 0 {
         return CanonicalCode {
-            code: vec![0],
+            code: Arc::new([0]),
             truncated: false,
         };
     }
@@ -279,7 +283,10 @@ pub fn canonical_code_budgeted(g: &Graph, budget: u64) -> CanonicalCode {
     let mut code = vec![g.node_count() as u64, g.edge_count() as u64];
     s.search(&mut prefix, &mut used, &mut code);
     CanonicalCode {
-        code: s.best.expect("search explores at least one ordering"),
+        code: s
+            .best
+            .expect("search explores at least one ordering")
+            .into(),
         truncated: s.truncated,
     }
 }

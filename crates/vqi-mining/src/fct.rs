@@ -19,7 +19,9 @@
 //! added and probed against it. So [`FctIndex::vectors`] reads a held
 //! graph's feature vector off the support sets, with no matching at all.
 
-use crate::fst::{mine_frequent_subtrees, FrequentTree, MineParams};
+use crate::fst::{
+    mine_frequent_subtrees, mine_frequent_subtrees_indexed, FrequentTree, MineParams,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use vqi_graph::canon::CanonicalCode;
 use vqi_graph::index::GraphIndex;
@@ -100,6 +102,11 @@ impl FctIndex {
     /// by a batch, and not removed since.
     pub fn holds(&self, id: usize) -> bool {
         self.live.contains(&id)
+    }
+
+    /// The ids the index holds, ascending.
+    pub fn held(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live.iter().copied()
     }
 
     /// Feature vectors of the distinct graphs `ids` over the closed
@@ -195,8 +202,9 @@ impl FctIndex {
             // 3. mine the added graphs alone to discover trees that may
             //    have become frequent; count their support over every
             //    held graph
-            let added_graphs: Vec<&Graph> = probes.iter().map(|&(_, g, _)| g).collect();
-            let local = mine_frequent_subtrees(
+            let added_graphs: Vec<(&Graph, &GraphIndex)> =
+                probes.iter().map(|&(_, g, ix)| (g, ix)).collect();
+            let local = mine_frequent_subtrees_indexed(
                 &added_graphs,
                 MineParams {
                     min_support: 1,

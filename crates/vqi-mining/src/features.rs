@@ -70,6 +70,24 @@ impl FeatureSpace {
         vqi_graph::par::map(graphs, |g| self.vector_with(&plans, g))
     }
 
+    /// Feature vectors of graphs `0..n_graphs` read off each feature's
+    /// support set (the ascending positions of the graphs it occurs
+    /// in), with no matching: given exact support sets, bit for bit
+    /// what [`vectors`](Self::vectors) computes.
+    pub fn vectors_from_support_sets(
+        &self,
+        support_sets: &[Vec<usize>],
+        n_graphs: usize,
+    ) -> Vec<Vec<f64>> {
+        let mut out = vec![vec![0.0; self.len()]; n_graphs];
+        for (col, (support, &w)) in support_sets.iter().zip(&self.weights).enumerate() {
+            for &gi in support {
+                out[gi][col] = w;
+            }
+        }
+        out
+    }
+
     fn plans(&self) -> Vec<PatternPlan<'_>> {
         self.trees.iter().map(PatternPlan::new).collect()
     }
@@ -151,6 +169,30 @@ mod tests {
         let par = fs.vectors(&graphs);
         let ser: Vec<Vec<f64>> = graphs.iter().map(|g| fs.vector(g)).collect();
         assert_eq!(par, ser);
+    }
+
+    #[test]
+    fn vectors_from_support_sets_equal_matched_vectors() {
+        let trees = vec![chain(2, 1, 0), chain(3, 1, 0), star(3, 1, 0)];
+        let graphs = vec![chain(4, 1, 0), star(4, 1, 0), clique(3, 9, 0)];
+        let supports: Vec<Vec<usize>> = trees
+            .iter()
+            .map(|t| {
+                (0..graphs.len())
+                    .filter(|&gi| {
+                        PatternPlan::new(t).is_subgraph_of(
+                            &graphs[gi],
+                            None,
+                            MatchOptions::default(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let dfs: Vec<usize> = supports.iter().map(Vec::len).collect();
+        let fs = FeatureSpace::with_idf(trees, &dfs, graphs.len());
+        let read = fs.vectors_from_support_sets(&supports, graphs.len());
+        assert_eq!(read, fs.vectors(&graphs));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! from scratch:
 //!
 //! * [`fst`] — frequent subtree mining over a collection of data graphs
-//!   (pattern growth with canonical-code deduplication);
+//!   (pattern growth read off the parents' embeddings, with
+//!   canonical-code deduplication);
 //! * [`fct`] — frequent *closed* trees, the feature language MIDAS swaps
 //!   in for efficient maintenance, with incremental updates under batch
 //!   insertions/deletions;
