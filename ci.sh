@@ -69,14 +69,16 @@ named_test -p vqi-graph bounded_fold_is_bit_identical_to_exact_fold
 named_test -p vqi-graph bounded_cached_folds_identically_and_keeps_entries_exact
 named_test -p vqi-core bound_and_skip_changes_no_selection
 named_test -p midas similarity_guard_matches_exact_path
-# the service's fingerprint-filtered, indexed query scan against a plain
-# VF2 scan of the pinned snapshot (the test sweeps caps 1/2/4 itself),
-# untouched slots keeping their index across an update, the select
+# the shared collection query sweep (fingerprint-filtered, indexed)
+# against a plain VF2 scan, with the service's and the wildcard options
+# (the test sweeps caps 1/2/4 itself), `vqi search` against a per-graph
+# scan, untouched slots keeping their index across an update, the select
 # cache telling apart collections whose graphs share fingerprints, and
 # one compiled pattern plan reused across targets matching fresh searches
+named_test -p vqi-cli search_matches_a_plain_scan
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
-    VQI_NUM_THREADS=$threads named_test -p vqi-serve filtered_indexed_query_is_bit_identical_to_a_plain_scan
+    VQI_NUM_THREADS=$threads named_test -p vqi-core filtered_indexed_query_is_bit_identical_to_a_plain_scan
     VQI_NUM_THREADS=$threads named_test -p vqi-serve update_keeps_the_index_of_every_untouched_slot
     VQI_NUM_THREADS=$threads named_test -p vqi-serve select_cache_tells_fingerprint_twins_apart
     VQI_NUM_THREADS=$threads named_test -p vqi-graph one_plan_reused_across_targets_equals_fresh_searches

@@ -7,16 +7,12 @@
 //!    DBLP-like network, naive vs [`GraphIndex`]-backed (the one-off
 //!    index build is timed separately and included in the indexed
 //!    total, so the comparison is end-to-end honest);
-//! 2. **iso** — `is_subgraph_isomorphic` of molecular motifs over a
+//! 2. **iso** — `count_embeddings` of molecular motifs over a
 //!    PubChem-like collection, naive vs per-graph indexes;
 //! 3. **mcs fold** — the greedy diversity fold (running max similarity
 //!    per candidate) computed with exact `mcs_similarity` vs the
 //!    threshold-seeded `mcs_similarity_bounded`, asserting the final
-//!    running maxima are bit-identical;
-//! 4. **index search** — subgraph search over a molecule collection by
-//!    brute-force scan vs the `vqi-index` label-triple filter-verify
-//!    index vs the closure-tree, asserting all three return the same
-//!    hits (index builds are timed separately).
+//!    running maxima are bit-identical.
 //!
 //! A last table times the substrate kernel no other experiment times:
 //! graph closure.
@@ -28,13 +24,9 @@ use vqi_core::score::coverage_match_options;
 use vqi_datasets::{dblp_like, pubchem_like};
 use vqi_graph::generate::{chain, clique, cycle, star};
 use vqi_graph::index::GraphIndex;
-use vqi_graph::iso::{
-    count_embeddings, count_embeddings_indexed, covered_edges, covered_edges_indexed,
-    is_subgraph_isomorphic, MatchOptions,
-};
+use vqi_graph::iso::{count_embeddings, covered_edges, PatternPlan};
 use vqi_graph::mcs::{mcs_similarity, mcs_similarity_bounded};
 use vqi_graph::{Graph, NodeId};
-use vqi_index::{ClosureTree, TripleIndex};
 use vqi_mining::closure::closure_of;
 use vqi_observe::json::Json;
 
@@ -71,7 +63,7 @@ fn section_coverage() -> (f64, f64, f64) {
     let warm_idx = GraphIndex::build(&net);
     for p in &patterns {
         covered_edges(p, &net, opts);
-        covered_edges_indexed(p, &net, &warm_idx, opts);
+        PatternPlan::new(p).covered_edges(&net, Some(&warm_idx), opts);
     }
 
     let (naive, naive_ms) = time_ms(|| {
@@ -90,7 +82,7 @@ fn section_coverage() -> (f64, f64, f64) {
         for _ in 0..reps {
             last = patterns
                 .iter()
-                .map(|p| covered_edges_indexed(p, &net, &idx, opts))
+                .map(|p| PatternPlan::new(p).covered_edges(&net, Some(&idx), opts))
                 .collect::<Vec<_>>();
         }
         last
@@ -127,7 +119,7 @@ fn section_iso() -> (f64, f64) {
                 molecules
                     .iter()
                     .zip(&indexes)
-                    .map(|(m, ix)| count_embeddings_indexed(p, m, ix, opts))
+                    .map(|(m, ix)| PatternPlan::new(p).count(m, Some(ix), opts))
                     .sum()
             })
             .collect::<Vec<usize>>()
@@ -175,62 +167,6 @@ fn section_mcs_fold() -> (f64, f64) {
     (naive_ms, bounded_ms)
 }
 
-/// Times brute force, the triple index and the closure-tree, prints
-/// the table, and returns the section's JSON object.
-fn section_index() -> Json {
-    let gs = vqi_datasets::aids_like(vqi_datasets::MoleculeParams {
-        count: 300,
-        seed: 42,
-        ..Default::default()
-    });
-    let queries = [
-        chain(4, 0, 0), // common carbon chain
-        cycle(6, 0, 0), // benzene-like ring
-        chain(3, 2, 0), // oxygen-bearing fragment
-        cycle(5, 0, 1), // ring with a double bond
-    ];
-    let (triple, triple_build_ms) = time_ms(|| TripleIndex::build(gs.iter().enumerate()));
-    let (ctree, ctree_build_ms) = time_ms(|| ClosureTree::bulk_load(gs.iter().enumerate(), 8));
-    // 5 passes over the queries, keeping the last pass's hits
-    let run = |search: &dyn Fn(&Graph) -> Vec<usize>| {
-        time_ms(|| {
-            let mut hits = Vec::new();
-            for _ in 0..5 {
-                hits = queries.iter().map(search).collect();
-            }
-            hits
-        })
-    };
-    let (brute, brute_ms) = run(&|q| {
-        let hit = |i: &usize| is_subgraph_isomorphic(q, &gs[*i], MatchOptions::with_wildcards());
-        (0..gs.len()).filter(hit).collect()
-    });
-    let (by_triple, triple_ms) = run(&|q| triple.search(q, |id| &gs[id]));
-    let (by_ctree, ctree_ms) = run(&|q| ctree.search(q, |id| &gs[id]).0);
-    assert_eq!(brute, by_triple, "triple index diverged from brute force");
-    assert_eq!(brute, by_ctree, "closure-tree diverged from brute force");
-    let methods = [
-        ("brute_force", brute_ms, 0.0),
-        ("triple", triple_ms, triple_build_ms),
-        ("ctree", ctree_ms, ctree_build_ms),
-    ];
-    let rows: Vec<Vec<String>> = methods
-        .iter()
-        .map(|(m, search, build)| {
-            vec![m.to_string(), format!("{search:.1}"), format!("{build:.1}")]
-        })
-        .collect();
-    print_table(
-        "Index search: 4 queries x 5 over 300 molecules (answer-identical)",
-        &["method", "search ms", "build ms"],
-        &rows,
-    );
-    Json::object(
-        methods
-            .map(|(m, search, build)| (m, numbers(&[("search_ms", search), ("build_ms", build)]))),
-    )
-}
-
 /// Times the substrate kernel no other experiment times.
 fn section_substrates() {
     let chains: Vec<Graph> = (0..10).map(|i| chain(8 + i % 4, 1, 0)).collect();
@@ -270,7 +206,6 @@ fn main() {
         &rows,
     );
     println!("(coverage indexed total includes {cov_build:.1} ms of index build)");
-    let index = section_index();
     section_substrates();
 
     let counters = report_counters(&["kernel."]);
@@ -289,7 +224,6 @@ fn main() {
             "mcs_fold",
             numbers(&[("naive_ms", mcs_naive), ("bounded_ms", mcs_bounded)]),
         ),
-        ("index_search", index),
         ("kernel_counters", counters),
     ]);
     write_bench_json("kernels", &json);

@@ -48,7 +48,7 @@ use vqi_core::ctrl::{Budget, Degradation, PipelineOutcome};
 use vqi_core::pattern::PatternSet;
 use vqi_core::score::{cognitive_load, coverage_match_options};
 use vqi_graph::index::GraphIndex;
-use vqi_graph::iso::covered_edges_indexed;
+use vqi_graph::iso::PatternPlan;
 use vqi_graph::par::{self, ShardExecutor};
 use vqi_graph::storage::{induced_subgraph_of, induced_subgraph_with_edges, GraphStorage};
 use vqi_graph::truss::decompose;
@@ -230,12 +230,16 @@ impl ShardedTattoo {
             return Ok(Vec::new());
         }
         let ranges = self.score_ranges(g);
+        let plans: Vec<PatternPlan> = candidates
+            .iter()
+            .map(|c| PatternPlan::new(&c.graph))
+            .collect();
         let per_range = self.executor().run_shards(ranges.len(), |ri| {
             let nodes: Vec<NodeId> = ranges[ri].clone().map(NodeId).collect();
             let (sub, _, edge_map) = induced_subgraph_with_edges(g, &nodes);
             let idx = GraphIndex::build(&sub);
-            par::map(&candidates, |c| {
-                covered_edges_indexed(&c.graph, &sub, &idx, coverage_match_options())
+            par::map(&plans, |plan| {
+                plan.covered_edges(&sub, Some(&idx), coverage_match_options())
                     .into_iter()
                     .map(|e| edge_map[e.index()])
                     .collect::<Vec<EdgeId>>()

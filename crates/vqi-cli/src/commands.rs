@@ -6,11 +6,13 @@ use tattoo::Tattoo;
 use vqi_core::budget::PatternBudget;
 use vqi_core::ctrl::{Budget, Completeness};
 use vqi_core::render::{ascii_summary, svg_graph, svg_interface};
-use vqi_core::repo::GraphRepository;
+use vqi_core::repo::{GraphCollection, GraphRepository};
+use vqi_core::results::query_collection;
 use vqi_core::score::{evaluate, QualityWeights};
 use vqi_core::selector::{PatternSelector, RandomSelector};
 use vqi_core::vqi::VisualQueryInterface;
 use vqi_graph::io::{parse_transactions, write_transactions};
+use vqi_graph::iso::MatchOptions;
 use vqi_graph::Graph;
 use vqi_modular::ModularPipeline;
 use vqi_observe::json::ToJson;
@@ -46,13 +48,16 @@ USAGE:
                 [--size N] [--seed S]
   vqi render    --input FILE --out OUT.svg
   vqi show      --load FILE.vqi [--svg OUT.svg]
-  vqi search    --input FILE --query QFILE [--index none|triple|ctree]
+  vqi search    --input FILE --query QFILE
   vqi serve     [--input FILE] [--graphs N] [--seed S] [--sessions N]
                 [--requests N] [--update-every K] [--selector ...]
                 [--count K] [--min-size N] [--max-size M]
                 [--deadline-ms N] [--midas true] [--verify false]
                 [--wal-dir DIR] [--checkpoint-every K]
   vqi recover   --wal-dir DIR [--checkpoint-every K]
+
+search prints the ids of the graphs in FILE that contain the query
+graph in QFILE (non-induced; the wildcard label matches any label).
 
 serve boots the multi-tenant service core on FILE (or on N generated
 molecule graphs) and drives it with a loopback session mix: every
@@ -269,7 +274,8 @@ fn show(args: &Args) -> Result<String, ArgError> {
     Ok(ascii_summary(&vqi))
 }
 
-/// Subgraph search over a collection file with a chosen index.
+/// Subgraph search over a collection file: one compiled query swept
+/// over the collection with wildcard matching.
 fn search(args: &Args) -> Result<String, ArgError> {
     let repo_path = args.require("input")?;
     let query_path = args.require("query")?;
@@ -282,32 +288,24 @@ fn search(args: &Args) -> Result<String, ArgError> {
     let query = vqi_graph::io::parse_graph(&query_text)
         .map_err(|e| ArgError(format!("parse error in {query_path}: {e}")))?;
     let t0 = std::time::Instant::now();
-    let hits: Vec<usize> = match args.get_or("index", "triple") {
-        "none" => {
-            use vqi_graph::iso::{is_subgraph_isomorphic, MatchOptions};
-            graphs
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| is_subgraph_isomorphic(&query, g, MatchOptions::with_wildcards()))
-                .map(|(i, _)| i)
-                .collect()
-        }
-        "triple" => vqi_index::TripleIndex::build(graphs.iter().enumerate())
-            .search(&query, |id| &graphs[id]),
-        "ctree" => {
-            vqi_index::ClosureTree::bulk_load(graphs.iter().enumerate(), 8)
-                .search(&query, |id| &graphs[id])
-                .0
-        }
-        other => return Err(ArgError(format!("unknown index '{other}'"))),
+    // only which graphs hold the query is printed, so the first
+    // embedding settles each graph
+    let opts = MatchOptions {
+        max_embeddings: 1,
+        ..MatchOptions::with_wildcards()
     };
+    let (outcome, _) = query_collection(
+        &GraphCollection::new(graphs),
+        &query,
+        opts,
+        &Budget::unlimited(),
+    )
+    .expect("an unlimited budget never trips");
+    let hits: Vec<usize> = outcome.value.hits.iter().map(|h| h.graph_id).collect();
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     Ok(format!(
-        "{} match(es) in {:.1} ms (index: {}): {:?}\n",
-        hits.len(),
-        ms,
-        args.get_or("index", "triple"),
-        hits
+        "{} match(es) in {ms:.1} ms: {hits:?}\n",
+        hits.len()
     ))
 }
 
@@ -745,27 +743,41 @@ mod tests {
     }
 
     #[test]
-    fn search_finds_matches_with_every_index() {
+    fn search_matches_a_plain_scan() {
+        use vqi_graph::generate::{chain, cycle};
+        use vqi_graph::iso::is_subgraph_isomorphic;
+        use vqi_graph::{NodeId, WILDCARD_LABEL};
         let _observe = observe_lock();
         let file = tmp("search_repo.txt");
         run(&args(&[
             "dataset", "--kind", "aids", "--out", &file, "--size", "25",
         ]))
         .unwrap();
-        // query: a 3-carbon chain, ubiquitous in molecules
+        let graphs = parse_transactions(&std::fs::read_to_string(&file).unwrap()).unwrap();
+        // a ring with one wildcard atom
+        let mut wild_ring = cycle(6, 0, 0);
+        wild_ring.set_node_label(NodeId(2), WILDCARD_LABEL);
+        let queries = [
+            // a 3-carbon chain, ubiquitous in molecules
+            chain(3, 0, 0),
+            wild_ring,
+            // a label no molecule carries
+            chain(2, 99, 0),
+        ];
         let qfile = tmp("search_query.txt");
-        let q = vqi_graph::generate::chain(3, 0, 0);
-        std::fs::write(&qfile, vqi_graph::io::write_graph(&q, 0)).unwrap();
-        let mut results = Vec::new();
-        for index in ["none", "triple", "ctree"] {
-            let out = run(&args(&[
-                "search", "--input", &file, "--query", &qfile, "--index", index,
-            ]))
-            .unwrap();
-            results.push(out.split(" match").next().unwrap().to_string());
+        let mut hit_counts = Vec::new();
+        for q in &queries {
+            std::fs::write(&qfile, vqi_graph::io::write_graph(q, 0)).unwrap();
+            let out = run(&args(&["search", "--input", &file, "--query", &qfile])).unwrap();
+            let want: Vec<usize> = (0..graphs.len())
+                .filter(|&i| is_subgraph_isomorphic(q, &graphs[i], MatchOptions::with_wildcards()))
+                .collect();
+            let printed = out.trim_end().rsplit("ms: ").next().unwrap();
+            assert_eq!(printed, format!("{want:?}"), "{out}");
+            hit_counts.push(want.len());
         }
-        assert_eq!(results[0], results[1], "triple index changed results");
-        assert_eq!(results[0], results[2], "ctree changed results");
+        assert!(hit_counts[0] > 0 && hit_counts[1] > 0, "{hit_counts:?}");
+        assert_eq!(hit_counts[2], 0);
     }
 
     #[test]

@@ -1,17 +1,87 @@
 //! Query evaluation: what fills the Results Panel.
+//!
+//! [`query_collection`] is the one collection query of the workspace:
+//! the Results Panel ([`run_query`]), the service's `query` endpoint and
+//! the CLI's `vqi search` all sweep one compiled pattern over a
+//! collection's entries through it.
 
-use crate::repo::GraphRepository;
+use crate::ctrl::{Budget, Degradation, PipelineOutcome};
+use crate::repo::{GraphCollection, GraphRepository};
 use crate::score::coverage_match_options;
-use vqi_graph::iso::{count_embeddings, find_embeddings, MatchOptions};
+use vqi_graph::iso::{find_embeddings, MatchOptions, PatternPlan};
 use vqi_graph::{Graph, NodeId};
+use vqi_runtime::VqiError;
 
-/// One match of the query in a collection graph.
-#[derive(Debug, Clone)]
-pub struct CollectionMatch {
-    /// Id of the data graph containing the query.
+/// One matched graph of a collection query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryHit {
+    /// Collection slot id.
     pub graph_id: usize,
-    /// Number of embeddings found (capped).
+    /// Embeddings found (capped by the per-graph limit).
     pub embeddings: usize,
+}
+
+/// The matches of a collection query.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct QueryMatches {
+    /// Graphs with at least one embedding, in slot-id order.
+    pub hits: Vec<QueryHit>,
+    /// Graphs fully examined before any budget trip.
+    pub graphs_examined: usize,
+    /// Sum of embeddings over `hits`.
+    pub total_embeddings: usize,
+}
+
+/// Compiles `query` once and counts its embeddings (at most
+/// `opts.max_embeddings` each) in every live graph of `collection`, in
+/// slot-id order, against each graph's stored
+/// [`GraphIndex`](vqi_graph::index::GraphIndex). A graph whose stored
+/// fingerprint cannot host the query is skipped without matching — the
+/// fingerprint test is a necessary condition, so it only drops graphs
+/// with no embedding — and the indexed search reports the same
+/// embeddings in the same order as the unindexed one. The result is
+/// therefore the plain per-graph `count_embeddings` scan, bit for bit.
+///
+/// `ctrl` is checked (stage `query`) before every graph, so a deadline
+/// or cancel is seen between graphs however small each match is; the
+/// sweep then stops and returns the finished prefix as `Degraded`
+/// (`Err` only under a fail-fast budget).
+///
+/// Also returns how many graphs the fingerprint filter refused.
+pub fn query_collection(
+    collection: &GraphCollection,
+    query: &Graph,
+    opts: MatchOptions,
+    ctrl: &Budget,
+) -> Result<(PipelineOutcome<QueryMatches>, usize), VqiError> {
+    let plan = PatternPlan::new(query);
+    let mut deg = Degradation::new();
+    let mut matches = QueryMatches::default();
+    let mut filtered = 0;
+    for (id, entry) in collection.entries() {
+        let step = ctrl.check("query").and_then(|()| {
+            plan.enumerate_ctrl(entry.graph(), Some(entry.index()), opts, ctrl, |_| true)
+        });
+        match step {
+            Ok(out) => {
+                filtered += usize::from(out.filtered);
+                let n = out.embeddings;
+                matches.graphs_examined += 1;
+                if n > 0 {
+                    matches.total_embeddings += n;
+                    matches.hits.push(QueryHit {
+                        graph_id: id,
+                        embeddings: n,
+                    });
+                }
+            }
+            Err(e) => {
+                deg.absorb(ctrl, e)?;
+                break;
+            }
+        }
+    }
+    Ok((deg.finish(matches), filtered))
 }
 
 /// Results of running a query against a repository.
@@ -20,7 +90,7 @@ pub enum QueryResults {
     /// Per-graph matches for a collection.
     Collection {
         /// Graphs containing at least one embedding.
-        matches: Vec<CollectionMatch>,
+        matches: Vec<QueryHit>,
         /// Number of live graphs examined.
         examined: usize,
     },
@@ -71,19 +141,12 @@ pub fn run_query(query: &Graph, repo: &GraphRepository, opts: ResultOptions) -> 
     };
     match repo {
         GraphRepository::Collection(c) => {
-            let mut matches = Vec::new();
-            let mut examined = 0usize;
-            for (id, g) in c.iter() {
-                examined += 1;
-                let n = count_embeddings(query, g, match_opts);
-                if n > 0 {
-                    matches.push(CollectionMatch {
-                        graph_id: id,
-                        embeddings: n,
-                    });
-                }
+            let (outcome, _) = query_collection(c, query, match_opts, &Budget::unlimited())
+                .expect("an unlimited budget never trips");
+            QueryResults::Collection {
+                matches: outcome.value.hits,
+                examined: outcome.value.graphs_examined,
             }
-            QueryResults::Collection { matches, examined }
         }
         GraphRepository::Network(g) => {
             let embeddings = find_embeddings(query, g, match_opts);
@@ -99,7 +162,146 @@ pub fn run_query(query: &Graph, repo: &GraphRepository, opts: ResultOptions) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repo::BatchUpdate;
+    use vqi_datasets::{aids_like, MoleculeParams};
     use vqi_graph::generate::{chain, clique, cycle, star};
+    use vqi_graph::iso::count_embeddings;
+    use vqi_graph::WILDCARD_LABEL;
+
+    fn molecules(count: usize, seed: u64) -> Vec<Graph> {
+        aids_like(MoleculeParams {
+            count,
+            seed,
+            max_rings: 1,
+            max_chains: 2,
+            max_chain_len: 2,
+        })
+    }
+
+    /// The answer [`query_collection`] must give: a sequential,
+    /// unindexed `count_embeddings` scan of every live graph.
+    fn plain_scan(collection: &GraphCollection, query: &Graph, opts: MatchOptions) -> QueryMatches {
+        let mut m = QueryMatches::default();
+        for (graph_id, g) in collection.iter() {
+            let embeddings = count_embeddings(query, g, opts);
+            m.graphs_examined += 1;
+            if embeddings > 0 {
+                m.total_embeddings += embeddings;
+                m.hits.push(QueryHit {
+                    graph_id,
+                    embeddings,
+                });
+            }
+        }
+        m
+    }
+
+    /// The subgraph induced by the first `k` nodes of a breadth-first
+    /// walk from node 0: a connected query that embeds in `g`.
+    fn bfs_piece(g: &Graph, k: usize) -> Graph {
+        let mut order = vec![NodeId(0)];
+        let mut at = 0;
+        while at < order.len() && order.len() < k {
+            for (n, _) in g.neighbors(order[at]) {
+                if order.len() < k && !order.contains(&n) {
+                    order.push(n);
+                }
+            }
+            at += 1;
+        }
+        g.induced_subgraph(&order).0
+    }
+
+    #[test]
+    fn filtered_indexed_query_is_bit_identical_to_a_plain_scan() {
+        const CAP: usize = 50;
+        // the service's options, and the wildcard semantics of the
+        // Results Panel and `vqi search`
+        let option_sets = [
+            MatchOptions {
+                max_embeddings: CAP,
+                ..Default::default()
+            },
+            MatchOptions {
+                max_embeddings: CAP,
+                ..MatchOptions::with_wildcards()
+            },
+        ];
+        // graphs that held / did not hold some query: both must occur,
+        // or the comparison says nothing about the filter
+        let (mut held, mut rejected) = (0, 0);
+        for cap in [1usize, 2, 4] {
+            vqi_graph::par::set_thread_cap(cap);
+            for seed in 0..12u64 {
+                let mut collection = GraphCollection::new(molecules(14, 100 + seed));
+                let extra = molecules(4, 200 + seed);
+                // epoch 0 is dense; epochs 1 and 2 leave tombstones and
+                // append graphs, so slot ids skip, and untouched graphs
+                // keep the index an earlier sweep built
+                let batches = [
+                    BatchUpdate {
+                        additions: extra[..2].to_vec(),
+                        removals: vec![1, 4, 9],
+                    },
+                    BatchUpdate {
+                        additions: extra[2..].to_vec(),
+                        removals: vec![0, 13, 14],
+                    },
+                ];
+                for step in 0..=batches.len() {
+                    if step > 0 {
+                        collection.apply(batches[step - 1].clone());
+                    }
+                    let members: Vec<(usize, Graph)> =
+                        collection.iter().map(|(id, g)| (id, g.clone())).collect();
+                    let mut queries = vec![chain(3, 0, 0), cycle(6, 0, 0), star(4, 1, 0)];
+                    for (_, g) in members.iter().step_by(3) {
+                        queries.push(bfs_piece(g, 4));
+                        queries.push(bfs_piece(g, 7));
+                        // a wildcard node: a literal label under the
+                        // default options, any label under wildcards
+                        let mut wild = bfs_piece(g, 5);
+                        wild.set_node_label(NodeId(0), WILDCARD_LABEL);
+                        queries.push(wild);
+                    }
+                    let unlimited = Budget::unlimited();
+                    for opts in option_sets {
+                        let what = format!("cap {cap} seed {seed} epoch {step} {opts:?}");
+                        for q in &queries {
+                            let (out, filtered) =
+                                query_collection(&collection, q, opts, &unlimited).unwrap();
+                            assert!(out.completeness.is_complete());
+                            let m = &out.value;
+                            held += m.hits.len();
+                            rejected += m.graphs_examined - m.hits.len();
+                            // the filter refuses only graphs without a hit
+                            assert!(filtered <= m.graphs_examined - m.hits.len(), "{what}");
+                            assert_eq!(
+                                *m,
+                                plain_scan(&collection, q, opts),
+                                "{what}: indexed sweep diverged"
+                            );
+                        }
+                        // a member graph always embeds in itself
+                        for (id, g) in &members {
+                            let (out, _) =
+                                query_collection(&collection, g, opts, &unlimited).unwrap();
+                            let m = &out.value;
+                            assert!(
+                                m.hits
+                                    .iter()
+                                    .any(|h| h.graph_id == *id && h.embeddings >= 1),
+                                "{what}: graph {id} missed itself"
+                            );
+                            assert_eq!(*m, plain_scan(&collection, g, opts), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        vqi_graph::par::set_thread_cap(0);
+        assert!(held > 0 && rejected > 0, "held {held}, rejected {rejected}");
+    }
 
     #[test]
     fn collection_results_list_matching_graphs() {

@@ -29,8 +29,7 @@
 //! ## Indexed matching
 //!
 //! Every [`PatternPlan`] search takes an optional pre-built
-//! [`GraphIndex`] of the target (as do the `_indexed` twins of
-//! [`count_embeddings`] and [`covered_edges`]). The indexed search
+//! [`GraphIndex`] of the target. The indexed search
 //! (1) rejects the whole pattern in constant time when the target's
 //! [fingerprint](crate::index::Fingerprint) cannot host it (counted as
 //! `kernel.iso.skip_fingerprint`), (2) enumerates unanchored candidates
@@ -558,16 +557,6 @@ pub fn count_embeddings(pattern: &Graph, target: &Graph, opts: MatchOptions) -> 
     PatternPlan::new(pattern).count(target, None, opts)
 }
 
-/// [`count_embeddings`] against a pre-built index of `target`.
-pub fn count_embeddings_indexed(
-    pattern: &Graph,
-    target: &Graph,
-    idx: &GraphIndex,
-    opts: MatchOptions,
-) -> usize {
-    PatternPlan::new(pattern).count(target, Some(idx), opts)
-}
-
 /// True if `a` and `b` are isomorphic as labeled graphs.
 pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
     if a.node_count() != b.node_count()
@@ -584,16 +573,6 @@ pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
 /// ([`PatternPlan::covered_edges`] on a fresh plan).
 pub fn covered_edges(pattern: &Graph, target: &Graph, opts: MatchOptions) -> Vec<EdgeId> {
     PatternPlan::new(pattern).covered_edges(target, None, opts)
-}
-
-/// [`covered_edges`] against a pre-built index of `target`.
-pub fn covered_edges_indexed(
-    pattern: &Graph,
-    target: &Graph,
-    idx: &GraphIndex,
-    opts: MatchOptions,
-) -> Vec<EdgeId> {
-    PatternPlan::new(pattern).covered_edges(target, Some(idx), opts)
 }
 
 #[cfg(test)]
@@ -774,19 +753,20 @@ mod tests {
                     true
                 });
                 assert_eq!(naive, indexed, "seed {seed}: embeddings (order included)");
+                let plan = PatternPlan::new(&pattern);
                 assert_eq!(
                     count_embeddings(&pattern, &target, opts),
-                    count_embeddings_indexed(&pattern, &target, &idx, opts),
+                    plan.count(&target, Some(&idx), opts),
                     "seed {seed}: counts"
                 );
                 assert_eq!(
                     is_subgraph_isomorphic(&pattern, &target, opts),
-                    PatternPlan::new(&pattern).is_subgraph_of(&target, Some(&idx), opts),
+                    plan.is_subgraph_of(&target, Some(&idx), opts),
                     "seed {seed}: existence"
                 );
                 assert_eq!(
                     covered_edges(&pattern, &target, opts),
-                    covered_edges_indexed(&pattern, &target, &idx, opts),
+                    plan.covered_edges(&target, Some(&idx), opts),
                     "seed {seed}: covered edges"
                 );
             }
@@ -845,7 +825,7 @@ mod tests {
                         let (want, want_edges) = if indexed {
                             (
                                 PatternPlan::new(&pattern).enumerate(t, Some(idx), opts, push),
-                                covered_edges_indexed(&pattern, t, idx, opts),
+                                PatternPlan::new(&pattern).covered_edges(t, Some(idx), opts),
                             )
                         } else {
                             (
@@ -965,7 +945,7 @@ mod tests {
                 count(None).unwrap().embeddings
             );
             assert_eq!(
-                count_embeddings_indexed(&pattern, &target, &idx, opts),
+                plan.count(&target, Some(&idx), opts),
                 count(Some(&idx)).unwrap().embeddings
             );
         }

@@ -58,8 +58,8 @@ pub use durable::{collection_digest, DurabilityConfig, DurableLog, RecoveryRepor
 pub use harness::{run_load, EndpointStats, LoadParams, LoadReport};
 pub use midas::CensusMode;
 pub use service::{
-    pattern_codes, reference_select, MaintenanceMode, QueryHit, QueryMatches, QueryResponse,
-    SelectResponse, SelectorKind, ServeConfig, ServeError, UpdateReport, UpdateResponse,
-    VqiService,
+    pattern_codes, reference_select, MaintenanceMode, QueryResponse, SelectResponse, SelectorKind,
+    ServeConfig, ServeError, UpdateReport, UpdateResponse, VqiService,
 };
 pub use snapshot::{Snapshot, SnapshotStore};
+pub use vqi_core::results::{QueryHit, QueryMatches};

@@ -32,9 +32,10 @@ use std::time::Instant;
 use vqi_core::budget::PatternBudget;
 use vqi_core::pattern::PatternSet;
 use vqi_core::repo::{BatchUpdate, GraphCollection, GraphRepository};
+use vqi_core::results::{query_collection, QueryMatches};
 use vqi_core::selector::{PatternSelector, RandomSelector};
 use vqi_core::{Budget, Completeness, Degradation, PipelineOutcome};
-use vqi_graph::iso::{MatchOptions, PatternPlan};
+use vqi_graph::iso::MatchOptions;
 use vqi_graph::Graph;
 use vqi_modular::ModularPipeline;
 use vqi_runtime::VqiError;
@@ -160,26 +161,6 @@ impl SelectResponse {
     pub fn epoch(&self) -> u64 {
         self.snapshot.epoch()
     }
-}
-
-/// One matched graph of a `query`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryHit {
-    /// Collection slot id.
-    pub graph_id: usize,
-    /// Embeddings found (capped by the request's per-graph limit).
-    pub embeddings: usize,
-}
-
-/// Payload of a `query` response.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct QueryMatches {
-    /// Graphs with at least one embedding, in slot-id order.
-    pub hits: Vec<QueryHit>,
-    /// Graphs fully examined before any budget trip.
-    pub graphs_examined: usize,
-    /// Sum of embeddings over `hits`.
-    pub total_embeddings: usize,
 }
 
 /// Response of `query`.
@@ -475,8 +456,13 @@ impl VqiService {
         };
 
         let snapshot = self.store.pin();
-        let outcome = scan_snapshot(&snapshot, query, max_embeddings_per_graph, &ctrl)
+        let opts = MatchOptions {
+            max_embeddings: max_embeddings_per_graph,
+            ..Default::default()
+        };
+        let (outcome, filtered) = query_collection(snapshot.collection(), query, opts, &ctrl)
             .map_err(ServeError::Failed)?;
+        vqi_observe::incr("serve.query.filtered", filtered as u64);
         vqi_observe::observe("serve.query.latency_us", start.elapsed().as_micros() as u64);
         Ok(QueryResponse { snapshot, outcome })
     }
@@ -620,62 +606,6 @@ impl VqiService {
     }
 }
 
-/// The filter-verify scan behind `query`: compiles `query` once and
-/// counts its embeddings (non-induced, at most
-/// `max_embeddings_per_graph` each) in every live graph of `snapshot`,
-/// in slot-id order, against each graph's stored
-/// [`GraphIndex`](vqi_graph::index::GraphIndex). A graph whose stored
-/// fingerprint cannot host the query is skipped without matching — the
-/// fingerprint test is a necessary condition, so it only drops graphs
-/// with no embedding — and the indexed search reports the same
-/// embeddings in the same order as the unindexed one. The result is
-/// therefore the plain per-graph `count_embeddings` scan, bit for bit.
-///
-/// `ctrl` is checked before every graph, so a deadline or cancel is
-/// seen between graphs however small each match is; the scan then
-/// stops and returns the finished prefix as `Degraded` (`Err` only
-/// under a fail-fast budget).
-fn scan_snapshot(
-    snapshot: &Snapshot,
-    query: &Graph,
-    max_embeddings_per_graph: usize,
-    ctrl: &Budget,
-) -> Result<PipelineOutcome<QueryMatches>, VqiError> {
-    let opts = MatchOptions {
-        max_embeddings: max_embeddings_per_graph,
-        ..Default::default()
-    };
-    let plan = PatternPlan::new(query);
-    let mut deg = Degradation::new();
-    let mut matches = QueryMatches::default();
-    let mut filtered = 0;
-    for (id, entry) in snapshot.collection().entries() {
-        let step = ctrl.check("serve.query").and_then(|()| {
-            plan.enumerate_ctrl(entry.graph(), Some(entry.index()), opts, ctrl, |_| true)
-        });
-        match step {
-            Ok(out) => {
-                filtered += out.filtered as u64;
-                let n = out.embeddings;
-                matches.graphs_examined += 1;
-                if n > 0 {
-                    matches.total_embeddings += n;
-                    matches.hits.push(QueryHit {
-                        graph_id: id,
-                        embeddings: n,
-                    });
-                }
-            }
-            Err(e) => {
-                deg.absorb(ctrl, e)?;
-                break;
-            }
-        }
-    }
-    vqi_observe::incr("serve.query.filtered", filtered);
-    Ok(deg.finish(matches))
-}
-
 fn run_selector(
     collection: &GraphCollection,
     selector: &SelectorKind,
@@ -743,117 +673,6 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The answer `query` must give: a sequential, unindexed
-    /// `count_embeddings` scan of every live graph of `snapshot`.
-    fn plain_scan(snapshot: &Snapshot, query: &Graph, cap: usize) -> QueryMatches {
-        let opts = MatchOptions {
-            max_embeddings: cap,
-            ..Default::default()
-        };
-        let mut m = QueryMatches::default();
-        for (graph_id, g) in snapshot.collection().iter() {
-            let embeddings = vqi_graph::iso::count_embeddings(query, g, opts);
-            m.graphs_examined += 1;
-            if embeddings > 0 {
-                m.total_embeddings += embeddings;
-                m.hits.push(QueryHit {
-                    graph_id,
-                    embeddings,
-                });
-            }
-        }
-        m
-    }
-
-    /// The subgraph induced by the first `k` nodes of a breadth-first
-    /// walk from node 0: a connected query that embeds in `g`.
-    fn bfs_piece(g: &Graph, k: usize) -> Graph {
-        let mut order = vec![vqi_graph::NodeId(0)];
-        let mut at = 0;
-        while at < order.len() && order.len() < k {
-            for (n, _) in g.neighbors(order[at]) {
-                if order.len() < k && !order.contains(&n) {
-                    order.push(n);
-                }
-            }
-            at += 1;
-        }
-        g.induced_subgraph(&order).0
-    }
-
-    #[test]
-    fn filtered_indexed_query_is_bit_identical_to_a_plain_scan() {
-        use vqi_graph::generate::{chain, cycle, star};
-        const CAP: usize = 50;
-        // graphs that held / did not hold some query: both must occur,
-        // or the comparison says nothing about the filter
-        let (mut held, mut rejected) = (0, 0);
-        for cap in [1usize, 2, 4] {
-            vqi_graph::par::set_thread_cap(cap);
-            for seed in 0..12u64 {
-                let service = VqiService::new(
-                    GraphCollection::new(molecules(14, 100 + seed)),
-                    ServeConfig::default(),
-                );
-                let extra = molecules(4, 200 + seed);
-                // epoch 0 is dense; epochs 1 and 2 leave tombstones and
-                // append graphs, so slot ids skip
-                let batches = [
-                    BatchUpdate {
-                        additions: extra[..2].to_vec(),
-                        removals: vec![1, 4, 9],
-                    },
-                    BatchUpdate {
-                        additions: extra[2..].to_vec(),
-                        removals: vec![0, 13, 14],
-                    },
-                ];
-                for step in 0..=batches.len() {
-                    if step > 0 {
-                        service.update(1, batches[step - 1].clone(), None).unwrap();
-                    }
-                    let snapshot = service.store().pin();
-                    let members: Vec<(usize, Graph)> = snapshot
-                        .collection()
-                        .iter()
-                        .map(|(id, g)| (id, g.clone()))
-                        .collect();
-                    let mut queries = vec![chain(3, 0, 0), cycle(6, 0, 0), star(4, 1, 0)];
-                    for (_, g) in members.iter().step_by(3) {
-                        queries.push(bfs_piece(g, 4));
-                        queries.push(bfs_piece(g, 7));
-                    }
-                    for q in &queries {
-                        let resp = service.query(2, q, CAP, None).unwrap();
-                        assert!(resp.outcome.completeness.is_complete());
-                        let m = &resp.outcome.value;
-                        held += m.hits.len();
-                        rejected += m.graphs_examined - m.hits.len();
-                        assert_eq!(
-                            *m,
-                            plain_scan(&resp.snapshot, q, CAP),
-                            "cap {cap} seed {seed} epoch {step}: indexed scan diverged"
-                        );
-                    }
-                    // a member graph always embeds in itself
-                    for (id, g) in &members {
-                        let resp = service.query(3, g, CAP, None).unwrap();
-                        let m = &resp.outcome.value;
-                        assert!(
-                            m.hits
-                                .iter()
-                                .any(|h| h.graph_id == *id && h.embeddings >= 1),
-                            "cap {cap} seed {seed} epoch {step}: graph {id} missed itself"
-                        );
-                        assert_eq!(*m, plain_scan(&resp.snapshot, g, CAP));
-                    }
-                }
-            }
-        }
-        vqi_graph::par::set_thread_cap(0);
-        assert!(held > 0 && rejected > 0, "held {held}, rejected {rejected}");
-    }
-
     #[test]
     fn canceled_query_degrades_before_the_first_graph() {
         let graphs = molecules(40, 5);
@@ -863,17 +682,20 @@ mod tests {
         let token = vqi_core::CancelToken::new();
         token.cancel();
         let ctrl = Budget::unlimited().with_cancel(token);
-        let out = scan_snapshot(&snapshot, &probe, 10, &ctrl).unwrap();
+        let sweep = |ctrl: &Budget| {
+            query_collection(snapshot.collection(), &probe, MatchOptions::default(), ctrl)
+        };
+        let (out, _) = sweep(&ctrl).unwrap();
         assert_eq!(out.value.graphs_examined, 0);
         assert!(out.value.hits.is_empty());
         match &out.completeness {
             Completeness::Degraded { stages_cut, .. } => {
-                assert_eq!(stages_cut, &vec!["serve.query".to_string()]);
+                assert_eq!(stages_cut, &vec!["query".to_string()]);
             }
             Completeness::Complete => panic!("a canceled scan must degrade"),
         }
         // fail-fast turns the same trip into an error
-        assert!(scan_snapshot(&snapshot, &probe, 10, &ctrl.with_fail_fast(true)).is_err());
+        assert!(sweep(&ctrl.with_fail_fast(true)).is_err());
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub use tattoo;
 pub use vqi_core as core;
 pub use vqi_datasets as datasets;
 pub use vqi_graph as graph;
-pub use vqi_index as index;
 pub use vqi_mining as mining;
 pub use vqi_modular as modular;
 pub use vqi_observe as observe;
