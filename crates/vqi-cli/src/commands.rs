@@ -781,6 +781,43 @@ mod tests {
     }
 
     #[test]
+    fn search_reports_bad_inputs_and_an_empty_repository() {
+        use vqi_graph::generate::chain;
+        let repo = tmp("search_bad_repo.txt");
+        let qfile = tmp("search_bad_query.txt");
+        let one = vqi_graph::io::write_graph(&chain(2, 0, 0), 0);
+        std::fs::write(&repo, &one).unwrap();
+        let search = |query: &str| run(&args(&["search", "--input", &repo, "--query", query]));
+        let missing = tmp("search_no_such_query.txt");
+        let _ = std::fs::remove_file(&missing);
+        let e = search(&missing).unwrap_err();
+        assert!(e.0.starts_with("cannot read"), "{}", e.0);
+        assert!(run(&args(&["search", "--input", &repo])).is_err());
+        // a query file must hold exactly one graph
+        std::fs::write(&qfile, format!("{one}{one}")).unwrap();
+        let e = search(&qfile).unwrap_err();
+        assert!(
+            e.0.starts_with(&format!("parse error in {qfile}")),
+            "{}",
+            e.0
+        );
+        // a malformed repository is named in the error
+        std::fs::write(&qfile, &one).unwrap();
+        std::fs::write(&repo, "v 0 1\n").unwrap();
+        let e = search(&qfile).unwrap_err();
+        assert!(
+            e.0.starts_with(&format!("parse error in {repo}")),
+            "{}",
+            e.0
+        );
+        // a repository without graphs answers with no matches
+        std::fs::write(&repo, "").unwrap();
+        let out = search(&qfile).unwrap();
+        assert!(out.starts_with("0 match(es)"), "{out}");
+        assert!(out.trim_end().ends_with("ms: []"), "{out}");
+    }
+
+    #[test]
     fn metrics_capture_every_pipeline() {
         let _observe = observe_lock();
         let col = tmp("metrics_col.txt");

@@ -8,7 +8,7 @@
 use crate::ctrl::{Budget, Degradation, PipelineOutcome};
 use crate::repo::{GraphCollection, GraphRepository};
 use crate::score::coverage_match_options;
-use vqi_graph::iso::{find_embeddings, MatchOptions, PatternPlan};
+use vqi_graph::iso::{enumerate_embeddings, MatchOptions, PatternPlan};
 use vqi_graph::{Graph, NodeId};
 use vqi_runtime::VqiError;
 
@@ -98,7 +98,8 @@ pub enum QueryResults {
     Network {
         /// Node mappings (query node index → network node), capped.
         embeddings: Vec<Vec<NodeId>>,
-        /// Whether the enumeration hit its cap.
+        /// Whether the enumeration was cut: the network holds more
+        /// embeddings than the cap, or the state budget stopped it.
         truncated: bool,
     },
 }
@@ -149,8 +150,20 @@ pub fn run_query(query: &Graph, repo: &GraphRepository, opts: ResultOptions) -> 
             }
         }
         GraphRepository::Network(g) => {
-            let embeddings = find_embeddings(query, g, match_opts);
-            let truncated = embeddings.len() >= opts.max_embeddings;
+            // one embedding past the cap tells a cut enumeration from
+            // one that ended exactly at the cap; a search stopped by
+            // the state budget is incomplete too
+            let probe = MatchOptions {
+                max_embeddings: opts.max_embeddings.saturating_add(1),
+                ..match_opts
+            };
+            let mut embeddings = Vec::new();
+            let out = enumerate_embeddings(query, g, probe, |m| {
+                embeddings.push(m.to_vec());
+                true
+            });
+            let truncated = !out.complete;
+            embeddings.truncate(opts.max_embeddings);
             QueryResults::Network {
                 embeddings,
                 truncated,
@@ -162,11 +175,12 @@ pub fn run_query(query: &Graph, repo: &GraphRepository, opts: ResultOptions) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctrl::Completeness;
     use crate::repo::BatchUpdate;
     use vqi_datasets::{aids_like, MoleculeParams};
     use vqi_graph::generate::{chain, clique, cycle, star};
     use vqi_graph::iso::count_embeddings;
-    use vqi_graph::WILDCARD_LABEL;
+    use vqi_graph::{Label, WILDCARD_LABEL};
 
     fn molecules(count: usize, seed: u64) -> Vec<Graph> {
         aids_like(MoleculeParams {
@@ -361,5 +375,258 @@ mod tests {
         let r = run_query(&q, &repo, ResultOptions::default());
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
+    }
+
+    /// A path whose nodes and edges carry the given labels, in order.
+    fn path(node_labels: &[Label], edge_labels: &[Label]) -> Graph {
+        let mut g = Graph::new();
+        let nodes: Vec<NodeId> = node_labels.iter().map(|&l| g.add_node(l)).collect();
+        for (i, &l) in edge_labels.iter().enumerate() {
+            g.add_edge(nodes[i], nodes[i + 1], l);
+        }
+        g
+    }
+
+    /// Two graphs of node label 1 and edge label 0, two of node label 2
+    /// and edge label 3.
+    fn two_label_families() -> GraphCollection {
+        GraphCollection::new(vec![
+            chain(5, 1, 0),
+            cycle(4, 1, 0),
+            star(4, 2, 3),
+            chain(3, 2, 3),
+        ])
+    }
+
+    fn hits(pairs: &[(usize, usize)]) -> Vec<QueryHit> {
+        pairs
+            .iter()
+            .map(|&(graph_id, embeddings)| QueryHit {
+                graph_id,
+                embeddings,
+            })
+            .collect()
+    }
+
+    fn sweep(collection: &GraphCollection, q: &Graph, opts: MatchOptions) -> (QueryMatches, usize) {
+        let (out, filtered) = query_collection(collection, q, opts, &Budget::unlimited()).unwrap();
+        assert!(out.completeness.is_complete());
+        (out.value, filtered)
+    }
+
+    #[test]
+    fn sweep_filter_prunes_impossible_graphs() {
+        let c = two_label_families();
+        // a (2)-[3]-(2) edge: the label-1 graphs cannot host it
+        let (m, filtered) = sweep(&c, &chain(2, 2, 3), MatchOptions::default());
+        assert_eq!(filtered, 2);
+        assert_eq!(m.graphs_examined, 4);
+        // each edge embeds in both directions
+        assert_eq!(m.hits, hits(&[(2, 8), (3, 4)]));
+        assert_eq!(m.total_embeddings, 12);
+    }
+
+    #[test]
+    fn unmatchable_query_is_refused_by_every_fingerprint() {
+        let c = two_label_families();
+        for opts in [MatchOptions::default(), MatchOptions::with_wildcards()] {
+            let (m, filtered) = sweep(&c, &chain(2, 99, 0), opts);
+            assert_eq!(filtered, 4, "{opts:?}");
+            assert_eq!(m.graphs_examined, 4);
+            assert!(m.hits.is_empty());
+            assert_eq!(m.total_embeddings, 0);
+        }
+    }
+
+    #[test]
+    fn sweep_filter_counts_label_multiplicities() {
+        // same size, same degrees, same label sets: only the counts
+        // tell (1)-(2)-(1) from (2)-(1)-(2), and 0,5 from 5,5 edges
+        let c = GraphCollection::new(vec![
+            path(&[1, 2, 1], &[0, 0]),
+            path(&[2, 1, 2], &[0, 0]),
+            path(&[1, 1, 1], &[0, 5]),
+            path(&[1, 1, 1], &[5, 5]),
+        ]);
+        let (m, filtered) = sweep(&c, &path(&[2, 1, 2], &[0, 0]), MatchOptions::default());
+        // graphs 2 and 3 lack label 2; graph 0 has one label-2 node
+        assert_eq!(filtered, 3);
+        assert_eq!(m.hits, hits(&[(1, 2)]));
+        let (m, filtered) = sweep(&c, &path(&[1, 1, 1], &[5, 5]), MatchOptions::default());
+        // graph 0 has no label-5 edge, graph 1 too few label-1 nodes,
+        // graph 2 one label-5 edge
+        assert_eq!(filtered, 3);
+        assert_eq!(m.hits, hits(&[(3, 2)]));
+    }
+
+    #[test]
+    fn wildcard_queries_bypass_the_label_filter() {
+        let c = two_label_families();
+        let any_edge = chain(2, WILDCARD_LABEL, WILDCARD_LABEL);
+        let (m, filtered) = sweep(&c, &any_edge, MatchOptions::with_wildcards());
+        assert_eq!(filtered, 0);
+        assert_eq!(m.hits, hits(&[(0, 8), (1, 8), (2, 8), (3, 4)]));
+        // without wildcard matching the label is literal, and no graph
+        // carries it
+        let (m, filtered) = sweep(&c, &any_edge, MatchOptions::default());
+        assert_eq!(filtered, 4);
+        assert!(m.hits.is_empty());
+    }
+
+    #[test]
+    fn wildcard_targets_bypass_the_label_filter() {
+        // a 3-chain of label 1 whose middle atom is a wildcard
+        let c = GraphCollection::new(vec![path(&[1, WILDCARD_LABEL, 1], &[0, 0])]);
+        // label 7 occurs nowhere: only the wildcard atom can host it
+        let q = path(&[1, 7], &[0]);
+        let (m, filtered) = sweep(&c, &q, MatchOptions::with_wildcards());
+        assert_eq!(filtered, 0);
+        assert_eq!(m.hits, hits(&[(0, 2)]));
+        let (m, filtered) = sweep(&c, &q, MatchOptions::default());
+        assert_eq!(filtered, 1);
+        assert!(m.hits.is_empty());
+    }
+
+    #[test]
+    fn sweep_follows_collection_updates() {
+        let mut c = two_label_families();
+        let q = chain(4, 1, 0);
+        let (m, _) = sweep(&c, &q, MatchOptions::default());
+        // a 3-edge path: 2 placements in the 5-chain, 4 rotations of
+        // the 4-cycle, each in both directions
+        assert_eq!(m.hits, hits(&[(0, 4), (1, 8)]));
+        c.apply(BatchUpdate::removing(vec![0]));
+        let (m, _) = sweep(&c, &q, MatchOptions::default());
+        assert_eq!(m.graphs_examined, 3);
+        assert_eq!(m.hits, hits(&[(1, 8)]));
+        let added = c.apply(BatchUpdate::adding(vec![chain(6, 1, 0)]));
+        assert_eq!(added, vec![4]);
+        let (m, _) = sweep(&c, &q, MatchOptions::default());
+        // the new graph is swept through the index built on insertion,
+        // and the tombstoned slot 0 stays out
+        assert_eq!(m.graphs_examined, 4);
+        assert_eq!(m.hits, hits(&[(1, 8), (4, 6)]));
+        assert_eq!(m, plain_scan(&c, &q, MatchOptions::default()));
+    }
+
+    #[test]
+    fn sweep_over_an_empty_collection_is_complete() {
+        let mut emptied = two_label_families();
+        emptied.apply(BatchUpdate::removing(vec![0, 1, 2, 3]));
+        for c in [GraphCollection::new(Vec::new()), emptied] {
+            let (m, filtered) = sweep(&c, &chain(2, 1, 0), MatchOptions::default());
+            assert_eq!(filtered, 0);
+            assert_eq!(m, QueryMatches::default());
+        }
+    }
+
+    #[test]
+    fn sweep_over_a_single_graph_counts_its_automorphisms() {
+        let ring = cycle(5, 1, 0);
+        let c = GraphCollection::new(vec![ring.clone()]);
+        let (m, filtered) = sweep(&c, &ring, MatchOptions::default());
+        // the dihedral group of a 5-cycle has 10 elements
+        assert_eq!(filtered, 0);
+        assert_eq!(m.graphs_examined, 1);
+        assert_eq!(m.hits, hits(&[(0, 10)]));
+        assert_eq!(m.total_embeddings, 10);
+    }
+
+    #[test]
+    fn per_graph_cap_bounds_every_hit() {
+        let c = GraphCollection::new(vec![clique(5, 1, 0), clique(4, 1, 0), cycle(3, 1, 0)]);
+        let opts = MatchOptions {
+            max_embeddings: 7,
+            ..Default::default()
+        };
+        // 60, 24 and 6 triangle embeddings: the cap is per graph
+        let (m, _) = sweep(&c, &cycle(3, 1, 0), opts);
+        assert_eq!(m.hits, hits(&[(0, 7), (1, 7), (2, 6)]));
+        assert_eq!(m.total_embeddings, 20);
+    }
+
+    #[test]
+    fn a_kernel_quota_trip_keeps_the_finished_prefix() {
+        // the clique holds 210 embeddings of a 3-path, the small chains
+        // two each: a per-search quota between the two cuts the sweep
+        // at the clique
+        let c = GraphCollection::new(vec![
+            chain(3, 1, 0),
+            chain(3, 1, 0),
+            clique(7, 1, 0),
+            chain(3, 1, 0),
+        ]);
+        let q = chain(3, 1, 0);
+        let ctrl = Budget::unlimited().with_kernel_ticks(50);
+        let (out, _) = query_collection(&c, &q, MatchOptions::default(), &ctrl).unwrap();
+        match &out.completeness {
+            Completeness::Degraded { stages_cut, .. } => {
+                assert_eq!(stages_cut, &vec!["kernel.vf2".to_string()]);
+            }
+            Completeness::Complete => panic!("the quota must cut the clique's search"),
+        }
+        assert_eq!(out.value.graphs_examined, 2);
+        assert_eq!(out.value.hits, hits(&[(0, 2), (1, 2)]));
+        // fail-fast turns the same trip into an error
+        assert!(
+            query_collection(&c, &q, MatchOptions::default(), &ctrl.with_fail_fast(true)).is_err()
+        );
+    }
+
+    #[test]
+    fn collection_results_equal_a_plain_scan_under_coverage_options() {
+        let graphs = molecules(20, 41);
+        let mut ring = cycle(6, 0, 0);
+        ring.set_node_label(NodeId(1), WILDCARD_LABEL);
+        let queries = [chain(3, 0, 0), ring, chain(2, 99, 0)];
+        let repo = GraphRepository::collection(graphs);
+        let c = repo.as_collection().unwrap();
+        for cap in [1, 3, 100] {
+            let opts = MatchOptions {
+                max_embeddings: cap,
+                ..coverage_match_options()
+            };
+            for q in &queries {
+                let r = run_query(
+                    q,
+                    &repo,
+                    ResultOptions {
+                        max_embeddings: cap,
+                    },
+                );
+                let want = plain_scan(c, q, opts);
+                match r {
+                    QueryResults::Collection { matches, examined } => {
+                        assert_eq!(examined, want.graphs_examined);
+                        assert_eq!(matches, want.hits, "cap {cap} {}", q.summary());
+                    }
+                    _ => panic!("expected collection results"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_complete_enumeration_at_the_cap_is_not_truncated() {
+        // 4 triangles * 6 automorphisms = 24 embeddings
+        let repo = GraphRepository::network(clique(4, 1, 0));
+        let q = cycle(3, 1, 0);
+        for (cap, len, cut) in [(23, 23, true), (24, 24, false), (25, 24, false)] {
+            match run_query(
+                &q,
+                &repo,
+                ResultOptions {
+                    max_embeddings: cap,
+                },
+            ) {
+                QueryResults::Network {
+                    embeddings,
+                    truncated,
+                } => {
+                    assert_eq!((embeddings.len(), truncated), (len, cut), "cap {cap}");
+                }
+                _ => panic!("expected network results"),
+            }
+        }
     }
 }

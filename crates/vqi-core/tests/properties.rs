@@ -7,9 +7,11 @@ use vqi_core::budget::PatternBudget;
 use vqi_core::pattern::{PatternKind, PatternSet};
 use vqi_core::query::{EditOp, QNode, QueryBuilder};
 use vqi_core::repo::{BatchUpdate, GraphCollection};
+use vqi_core::results::query_collection;
 use vqi_core::score::{cognitive_load, diversity, evaluate_graphs, QualityWeights};
-use vqi_graph::iso::are_isomorphic;
-use vqi_graph::{Graph, NodeId};
+use vqi_core::Budget;
+use vqi_graph::iso::{are_isomorphic, count_embeddings, is_subgraph_isomorphic, MatchOptions};
+use vqi_graph::{Graph, NodeId, WILDCARD_LABEL};
 
 const CASES: u64 = 64;
 
@@ -188,4 +190,66 @@ fn add_pattern_is_faithful() {
         let (out, _) = q.to_graph();
         assert!(are_isomorphic(&out, &g), "seed {seed}");
     }
+}
+
+/// A random tree on `2..=max_n` nodes, node labels in `0..3`, edge
+/// labels in `0..2`, one node relabelled [`WILDCARD_LABEL`] with
+/// probability `wild`.
+fn random_labeled_tree(rng: &mut SmallRng, max_n: usize, wild: f64) -> Graph {
+    let n = rng.gen_range(2..=max_n);
+    let mut g = Graph::new();
+    let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node(rng.gen_range(0u32..3))).collect();
+    for i in 1..n {
+        let parent = rng.gen_range(0..i);
+        g.add_edge(nodes[i], nodes[parent], rng.gen_range(0u32..2));
+    }
+    if rng.gen_bool(wild) {
+        g.set_node_label(nodes[rng.gen_range(0..n)], WILDCARD_LABEL);
+    }
+    g
+}
+
+/// The collection sweep reports exactly the live graphs that contain
+/// the query, each with its plain embedding count, under exact and
+/// wildcard matching, on collections with tombstoned slots; and the
+/// fingerprint filter refuses only graphs without a hit.
+#[test]
+fn collection_sweep_is_sound_and_complete() {
+    let (mut refused, mut hit) = (0, 0);
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let graphs = (0..rng.gen_range(1..9))
+            .map(|_| random_labeled_tree(&mut rng, 6, 0.2))
+            .collect();
+        let mut c = GraphCollection::new(graphs);
+        let victim = rng.gen_range(0..c.len());
+        c.apply(BatchUpdate {
+            additions: vec![random_labeled_tree(&mut rng, 6, 0.2)],
+            removals: vec![victim],
+        });
+        let q = random_labeled_tree(&mut rng, 4, 0.3);
+        for opts in [MatchOptions::default(), MatchOptions::with_wildcards()] {
+            let (out, filtered) = query_collection(&c, &q, opts, &Budget::unlimited()).unwrap();
+            assert!(out.completeness.is_complete());
+            let m = out.value;
+            let want: Vec<(usize, usize)> = c
+                .iter()
+                .filter(|(_, g)| is_subgraph_isomorphic(&q, g, opts))
+                .map(|(id, g)| (id, count_embeddings(&q, g, opts)))
+                .collect();
+            let got: Vec<(usize, usize)> =
+                m.hits.iter().map(|h| (h.graph_id, h.embeddings)).collect();
+            assert_eq!(got, want, "seed {seed} {opts:?}");
+            assert_eq!(m.graphs_examined, c.len(), "seed {seed}");
+            assert_eq!(
+                m.total_embeddings,
+                want.iter().map(|&(_, n)| n).sum::<usize>()
+            );
+            assert!(filtered <= c.len() - want.len(), "seed {seed} {opts:?}");
+            refused += filtered;
+            hit += want.len();
+        }
+    }
+    // both sides of the filter occur, or the run says nothing about it
+    assert!(refused > 0 && hit > 0, "refused {refused}, hit {hit}");
 }

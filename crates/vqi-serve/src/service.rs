@@ -893,6 +893,44 @@ mod tests {
     }
 
     #[test]
+    fn query_after_an_update_sweeps_the_new_epoch() {
+        use vqi_graph::generate::chain;
+        let service = VqiService::new(
+            GraphCollection::new(vec![chain(3, 1, 0), chain(3, 2, 0), chain(3, 1, 0)]),
+            ServeConfig::default(),
+        );
+        let probe = chain(2, 1, 0);
+        let ids = |m: &QueryMatches| -> Vec<(usize, usize)> {
+            m.hits.iter().map(|h| (h.graph_id, h.embeddings)).collect()
+        };
+        let before = service.query(1, &probe, 50, None).unwrap();
+        assert_eq!(before.epoch(), 0);
+        // each edge of a 3-chain embeds in both directions
+        assert_eq!(ids(&before.outcome.value), vec![(0, 4), (2, 4)]);
+        let batch = BatchUpdate {
+            additions: vec![chain(4, 1, 0)],
+            removals: vec![0],
+        };
+        service.update(1, batch, None).unwrap();
+        let after = service.query(2, &probe, 50, None).unwrap();
+        assert_eq!(after.epoch(), 1);
+        assert_eq!(after.outcome.value.graphs_examined, 3);
+        assert_eq!(ids(&after.outcome.value), vec![(2, 4), (3, 6)]);
+        // the earlier response still pins epoch 0 and its graphs
+        let (again, _) = query_collection(
+            before.snapshot.collection(),
+            &probe,
+            MatchOptions {
+                max_embeddings: 50,
+                ..Default::default()
+            },
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(again.value, before.outcome.value);
+    }
+
+    #[test]
     fn tight_deadline_degrades_instead_of_failing() {
         let service = VqiService::new(
             GraphCollection::new(molecules(120, 31)),
