@@ -108,7 +108,10 @@ echo "== incremental consistency suite (delta kernels vs from-scratch) =="
 # census after every batch, at any worker count: property tests sweep
 # 12 seeds x insert/delete/mixed batches internally and pin caps 1/2/4,
 # and the consumers (tattoo network maintainer, MIDAS cached census)
-# re-verify against their own from-scratch paths; MIDAS's FCT index must
+# re-verify against their own from-scratch paths; the in-place graph
+# edit plus the patched index must equal a rebuild plus a fresh index
+# build (16 seeds of edge-case batches), and the network maintainer its
+# old rebuild path; MIDAS's FCT index must
 # hand out the exact VF2 feature vector of every live graph after every
 # batch (12 seeds, with removals, tombstones and a skipped FCT stage)
 for threads in 1 4; do
@@ -117,6 +120,8 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-graph census_maintainer_matches_fresh_count_across_batches
     VQI_NUM_THREADS=$threads named_test -p vqi-graph deletion_edge_cases_match_fresh_peel
     VQI_NUM_THREADS=$threads named_test -p tattoo incremental_kernels_and_caches_track_mutations
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph --test properties in_place_edit_and_patched_index_equal_a_rebuild
+    VQI_NUM_THREADS=$threads named_test -p tattoo in_place_maintenance_equals_the_rebuild_oracle
     VQI_NUM_THREADS=$threads named_test -p midas cached_census_matches_full_recompute
     VQI_NUM_THREADS=$threads named_test -p midas windowed_drift_escalates_sub_threshold_batches
     VQI_NUM_THREADS=$threads named_test -p midas fct_vectors_

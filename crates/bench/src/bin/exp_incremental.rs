@@ -23,7 +23,7 @@ use bench::{enable_metrics, print_table, report_counters, time_ms, write_bench_j
 use vqi_graph::graphlet::{count_graphlets_par, CensusMaintainer};
 use vqi_graph::par;
 use vqi_graph::truss::{trussness, TrussMaintainer};
-use vqi_graph::{EdgeDelta, Graph, NodeId};
+use vqi_graph::{EdgeBatch, EdgeDelta, Graph, NodeId};
 use vqi_observe::json::{Json, ToJson};
 
 const NODES: usize = 60_000;
@@ -99,31 +99,6 @@ fn churn_delta(g: &Graph, churn: f64, seed: u64) -> EdgeDelta {
     delta
 }
 
-/// The updated graph, built from scratch: base edges minus the deletes
-/// plus the inserts. This is the reference world both sides must match.
-fn apply_to_graph(g: &Graph, delta: &EdgeDelta) -> Graph {
-    let dead: std::collections::HashSet<(u32, u32)> = delta
-        .deletes
-        .iter()
-        .map(|&(a, b)| if a <= b { (a, b) } else { (b, a) })
-        .collect();
-    let mut next = Graph::with_capacity(g.node_count(), g.edge_count() + delta.inserts.len());
-    for v in g.nodes() {
-        next.add_node(g.node_label(v));
-    }
-    for e in g.edges() {
-        let (u, v) = g.endpoints(e);
-        let key = if u.0 <= v.0 { (u.0, v.0) } else { (v.0, u.0) };
-        if !dead.contains(&key) {
-            next.add_edge(u, v, g.edge_label(e));
-        }
-    }
-    for &(u, v) in &delta.inserts {
-        next.add_edge(NodeId(u), NodeId(v), 0);
-    }
-    next
-}
-
 vqi_observe::json_record! {
     struct Level {
         churn: f64,
@@ -155,7 +130,14 @@ fn main() {
     let mut levels: Vec<Level> = Vec::new();
     for (i, &churn) in CHURN_LEVELS.iter().enumerate() {
         let delta = churn_delta(&g, churn, 0xD117A + i as u64);
-        let updated = apply_to_graph(&g, &delta);
+        // the reference world both sides must match: the base graph
+        // with the delta's deletes and (label-0) inserts applied
+        let mut updated = g.clone();
+        updated.apply_batch(&EdgeBatch {
+            node_additions: Vec::new(),
+            edge_removals: delta.deletes.clone(),
+            edge_additions: delta.inserts.iter().map(|&(u, v)| (u, v, 0)).collect(),
+        });
 
         // equality contract first: at caps 1, 2, and 4 the incremental
         // results must be bit-identical to the from-scratch kernels

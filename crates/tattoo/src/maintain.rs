@@ -6,8 +6,11 @@
 //! periodically-updated collections, so maintenance is driven by **edge
 //! batches** and locality:
 //!
-//! 1. the update is applied (the network is rebuilt without removed
-//!    edges and with additions — cheap relative to re-selection);
+//! 1. the update is applied in place: [`Graph::apply_batch`] drops the
+//!    removed edges in one order-preserving pass and appends the new
+//!    nodes and edges, and [`GraphIndex::patch`] moves the network's
+//!    index by the same edit, so the work follows the batch and the
+//!    result equals a rebuild of network and index from scratch;
 //! 2. the *churn rate* (changed edges / current edges) plays the role of
 //!    MIDAS's GFD drift: below the threshold the modification is minor
 //!    and only the coverage bitsets are refreshed;
@@ -30,27 +33,9 @@ use vqi_core::score::{edge_coverage_bitsets, set_score_bitsets, QualityWeights};
 use vqi_graph::graphlet::{euclidean_distance, CensusMaintainer, GRAPHLET_CLASSES};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::truss::{TrussDecomposition, TrussMaintainer};
-use vqi_graph::{EdgeDelta, Graph, Label, NodeId};
+use vqi_graph::{EdgeDelta, Graph, NodeId};
 
-/// A batch of edge-level changes to the network.
-#[derive(Debug, Clone, Default)]
-pub struct EdgeBatch {
-    /// Labels of nodes to append (their ids continue the current space).
-    pub node_additions: Vec<Label>,
-    /// Edges to add, as (u, v, label) over the post-append node space.
-    pub edge_additions: Vec<(u32, u32, Label)>,
-    /// Edges to remove, as unordered (u, v) node pairs.
-    pub edge_removals: Vec<(u32, u32)>,
-}
-
-impl EdgeBatch {
-    /// True if nothing changes.
-    pub fn is_empty(&self) -> bool {
-        self.node_additions.is_empty()
-            && self.edge_additions.is_empty()
-            && self.edge_removals.is_empty()
-    }
-}
+pub use vqi_graph::EdgeBatch;
 
 /// Kind of modification a batch caused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +47,7 @@ pub enum NetworkModification {
 }
 
 /// Report of one maintenance pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkMaintenanceReport {
     /// Minor or major.
     pub modification: NetworkModification,
@@ -126,8 +111,8 @@ pub struct NetworkMaintainer {
     pub patterns: PatternSet,
     /// Covered-edge bitsets per pattern, over the current network.
     bitsets: Vec<BitSet>,
-    /// Label index over the current network, rebuilt with it so every
-    /// coverage match goes through the indexed kernel.
+    /// Label index over the current network, patched with every edit
+    /// so every coverage match goes through the indexed kernel.
     network_index: GraphIndex,
     /// Incrementally maintained k-truss of the current network: batch
     /// updates re-peel only the affected region, and the major-path
@@ -184,61 +169,40 @@ impl NetworkMaintainer {
 
     /// Applies an edge batch and maintains the pattern set.
     pub fn apply_batch(&mut self, batch: EdgeBatch) -> NetworkMaintenanceReport {
-        let pre_edges = self.network.edge_count().max(1);
+        let churn = self.churn_of(&batch);
+        // 1. edit the network in place and move its index by the same
+        // edit; the effective mutations (removals that hit a live edge,
+        // additions the graph accepted) are the delta the incremental
+        // kernels see
+        let edit = self.network.apply_batch(&batch);
+        self.network_index.patch(&self.network, &edit);
+        let touched: Vec<NodeId> = edit.touched.iter().map(|&(v, _)| v).collect();
+        self.maintain(churn, &edit.delta, &touched)
+    }
+
+    /// Changed edges of `batch` over the current (pre-batch) edge count.
+    fn churn_of(&self, batch: &EdgeBatch) -> f64 {
         let changed = batch.edge_additions.len() + batch.edge_removals.len();
-        let churn = changed as f64 / pre_edges as f64;
+        changed as f64 / self.network.edge_count().max(1) as f64
+    }
+
+    /// Everything after the edit: the kernels absorb `delta`, the
+    /// coverage is refreshed, and a major batch extracts candidates
+    /// around `touched` (the changed endpoints, ascending) and swaps.
+    fn maintain(
+        &mut self,
+        churn: f64,
+        delta: &EdgeDelta,
+        touched: &[NodeId],
+    ) -> NetworkMaintenanceReport {
         let gfd_before = self.census.distribution();
-
-        // 1. rebuild the network with the batch applied, recording the
-        // effective mutations (removals that hit a live edge, additions
-        // the graph accepted) as the delta the incremental kernels see
-        let removals: std::collections::HashSet<(u32, u32)> = batch
-            .edge_removals
-            .iter()
-            .map(|&(a, b)| if a <= b { (a, b) } else { (b, a) })
-            .collect();
-        let mut touched: Vec<NodeId> = Vec::new();
-        let mut delta = EdgeDelta::new();
-        let mut next = Graph::with_capacity(
-            self.network.node_count() + batch.node_additions.len(),
-            self.network.edge_count() + batch.edge_additions.len(),
-        );
-        for v in self.network.nodes() {
-            next.add_node(self.network.node_label(v));
-        }
-        for &l in &batch.node_additions {
-            next.add_node(l);
-        }
-        for e in self.network.edges() {
-            let (u, v) = self.network.endpoints(e);
-            let key = if u.0 <= v.0 { (u.0, v.0) } else { (v.0, u.0) };
-            if removals.contains(&key) {
-                touched.push(u);
-                touched.push(v);
-                delta.deletes.push(key);
-            } else {
-                next.add_edge(u, v, self.network.edge_label(e));
-            }
-        }
-        for &(u, v, l) in &batch.edge_additions {
-            if next.add_edge(NodeId(u), NodeId(v), l).is_some() {
-                touched.push(NodeId(u));
-                touched.push(NodeId(v));
-                delta.inserts.push((u, v));
-            }
-        }
-        self.network = next;
-        self.network_index = GraphIndex::build(&self.network);
-        touched.sort_unstable();
-        touched.dedup();
-
         // incremental kernels: grow to the appended node space, then
         // re-peel / re-count only what the delta touched
         let n = self.network.node_count();
         self.truss.grow_nodes(n);
         self.census.grow_nodes(n);
-        let truss_stats = self.truss.apply(&delta);
-        self.census.apply(&delta);
+        let truss_stats = self.truss.apply(delta);
+        self.census.apply(delta);
         let graphlet_drift = euclidean_distance(&gfd_before, &self.census.distribution());
 
         // 2. bitsets must reflect the new network in either case
@@ -262,8 +226,8 @@ impl NetworkMaintainer {
         }
 
         // 3. touched region: one hop around the changed endpoints
-        let mut region_nodes: Vec<NodeId> = touched.clone();
-        for &v in &touched {
+        let mut region_nodes: Vec<NodeId> = touched.to_vec();
+        for &v in touched {
             region_nodes.extend(self.network.neighbors(v).map(|(u, _)| u));
         }
         region_nodes.sort_unstable();
@@ -391,6 +355,119 @@ mod tests {
     use crate::Tattoo;
     use vqi_core::score::set_coverage_network;
     use vqi_datasets::dblp_like;
+    use vqi_graph::Label;
+
+    /// The rebuild `apply_batch` used before it edited in place: a
+    /// fresh copy of the network without the removed edges and with the
+    /// additions, and a fresh index of it. Kept as the oracle the
+    /// in-place edit must equal.
+    fn apply_by_rebuild(m: &mut NetworkMaintainer, batch: EdgeBatch) -> NetworkMaintenanceReport {
+        let churn = m.churn_of(&batch);
+        let removals: std::collections::HashSet<(u32, u32)> = batch
+            .edge_removals
+            .iter()
+            .map(|&(a, b)| if a <= b { (a, b) } else { (b, a) })
+            .collect();
+        let mut touched: Vec<NodeId> = Vec::new();
+        let mut delta = EdgeDelta::new();
+        let mut next = Graph::new();
+        for v in m.network.nodes() {
+            next.add_node(m.network.node_label(v));
+        }
+        for &l in &batch.node_additions {
+            next.add_node(l);
+        }
+        for e in m.network.edges() {
+            let (u, v) = m.network.endpoints(e);
+            let key = if u.0 <= v.0 { (u.0, v.0) } else { (v.0, u.0) };
+            if removals.contains(&key) {
+                touched.extend([u, v]);
+                delta.deletes.push(key);
+            } else {
+                next.add_edge(u, v, m.network.edge_label(e));
+            }
+        }
+        for &(u, v, l) in &batch.edge_additions {
+            if next.add_edge(NodeId(u), NodeId(v), l).is_some() {
+                touched.extend([NodeId(u), NodeId(v)]);
+                delta.inserts.push((u, v));
+            }
+        }
+        m.network = next;
+        m.network_index = GraphIndex::build(&m.network);
+        touched.sort_unstable();
+        touched.dedup();
+        m.maintain(churn, &delta, &touched)
+    }
+
+    /// A churn-shaped batch: `removals` live edges out, `additions`
+    /// random pairs in (some rejected as duplicates or self-loops), and
+    /// every fifth batch an appended node wired to the network.
+    fn churn_batch(
+        net: &Graph,
+        removals: usize,
+        additions: usize,
+        round: usize,
+        rng: &mut SmallRng,
+    ) -> EdgeBatch {
+        use rand::Rng;
+        let (n, m) = (net.node_count() as u32, net.edge_count() as u32);
+        let mut batch = EdgeBatch::default();
+        for _ in 0..removals {
+            let (u, v) = net.endpoints(vqi_graph::EdgeId(rng.gen_range(0..m)));
+            batch.edge_removals.push((u.0, v.0));
+        }
+        let span = if round % 5 == 4 {
+            batch.node_additions.push(rng.gen_range(0..5));
+            n + 1
+        } else {
+            n
+        };
+        for _ in 0..additions {
+            let (u, v) = (rng.gen_range(0..span), rng.gen_range(0..span));
+            batch.edge_additions.push((u, v, rng.gen_range(0..2)));
+        }
+        batch
+    }
+
+    #[test]
+    fn in_place_maintenance_equals_the_rebuild_oracle() {
+        let _guard = crate::fault_test_lock();
+        for seed in 1..=3u64 {
+            let mut live = bootstrap(220, seed);
+            let mut oracle = bootstrap(220, seed);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut minor, mut major) = (0, 0);
+            for round in 0..12 {
+                let ctx = format!("seed {seed} batch {round}");
+                let m = live.network.edge_count();
+                // every third batch churns past the major threshold
+                let changed = if round % 3 == 2 { m / 25 } else { 2 };
+                let batch = churn_batch(
+                    &live.network,
+                    changed / 2,
+                    changed - changed / 2,
+                    round,
+                    &mut rng,
+                );
+                let got = live.apply_batch(batch.clone());
+                let want = apply_by_rebuild(&mut oracle, batch);
+                assert_eq!(got, want, "{ctx}: report");
+                assert!(live.network == oracle.network, "{ctx}: network");
+                assert!(live.network_index == oracle.network_index, "{ctx}: index");
+                assert_eq!(live.bitsets, oracle.bitsets, "{ctx}: bitsets");
+                assert!(live.patterns == oracle.patterns, "{ctx}: patterns");
+                match got.modification {
+                    NetworkModification::Minor => minor += 1,
+                    NetworkModification::Major => major += 1,
+                }
+            }
+            assert!(
+                minor > 0 && major > 0,
+                "seed {seed}: {minor} minor, {major} major"
+            );
+        }
+    }
 
     fn bootstrap(nodes: usize, seed: u64) -> NetworkMaintainer {
         let net = dblp_like(nodes, seed);
@@ -539,9 +616,13 @@ mod tests {
             "incremental census diverged from a fresh count"
         );
 
-        // the coverage bitsets kept by the maintainer must equal a
-        // recompute over a freshly built index of the current network
+        // the patched index must equal a fresh build, and the coverage
+        // bitsets kept by the maintainer a recompute over it
         let idx = GraphIndex::build(&m.network);
+        assert!(
+            m.network_index == idx,
+            "patched network index diverged from a fresh build"
+        );
         let fresh = edge_coverage_bitsets(m.patterns.patterns(), &m.network, &idx, |p| &p.graph);
         for ((p, bits), fresh_bits) in m.patterns.patterns().iter().zip(&m.bitsets).zip(&fresh) {
             assert_eq!(

@@ -27,7 +27,7 @@ pub enum PatternKind {
 }
 
 /// A pattern: a small connected labeled graph plus bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pattern {
     /// Identifier within its set.
     pub id: PatternId,
@@ -74,7 +74,7 @@ impl std::fmt::Display for PatternError {
 impl std::error::Error for PatternError {}
 
 /// An ordered, isomorphism-deduplicated set of patterns.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PatternSet {
     patterns: Vec<Pattern>,
     codes: std::collections::HashSet<CanonicalCode>,

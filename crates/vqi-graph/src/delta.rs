@@ -7,16 +7,22 @@
 //! missing edge, inserting a duplicate or a self-loop) so a delta can be
 //! replayed against any graph that already absorbed part of it.
 //!
+//! [`EdgeBatch`] is the labelled, caller-facing form of a churn batch
+//! (appended nodes, labelled additions, removals by node pair);
+//! [`Graph::apply_batch`] applies one in place and returns the
+//! [`GraphEdit`] it made: the effective `EdgeDelta` plus what
+//! [`crate::index::GraphIndex::patch`] needs to follow the graph.
+//!
 //! `DynamicAdjacency` is the crate-private mutable counterpart of
 //! [`crate::graph::SortedAdjacency`]: the same sorted rows, but kept live
 //! across batches so maintainers never rebuild adjacency from scratch.
 
-use crate::graph::{EdgeId, Graph, NodeId, SortedAdjacency};
+use crate::graph::{EdgeId, Graph, Label, NodeId, SortedAdjacency};
 
 /// A batch of undirected edge mutations: `deletes` are applied first,
 /// then `inserts`. Endpoint pairs are raw node indices; order within a
 /// pair does not matter.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeDelta {
     /// Edges to remove, as endpoint pairs.
     pub deletes: Vec<(u32, u32)>,
@@ -64,6 +70,45 @@ impl EdgeDelta {
             .map(|&(u, v)| u.max(v))
             .max()
     }
+}
+
+/// A batch of labelled edits to a graph, applied by
+/// [`Graph::apply_batch`]: removals first (against the edges live before
+/// the batch), then node appends, then additions in order.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeBatch {
+    /// Labels of nodes to append (their ids continue the current space).
+    pub node_additions: Vec<Label>,
+    /// Edges to add, as (u, v, label) over the post-append node space.
+    pub edge_additions: Vec<(u32, u32, Label)>,
+    /// Edges to remove, as unordered (u, v) node pairs.
+    pub edge_removals: Vec<(u32, u32)>,
+}
+
+impl EdgeBatch {
+    /// True if nothing changes.
+    pub fn is_empty(&self) -> bool {
+        self.node_additions.is_empty()
+            && self.edge_additions.is_empty()
+            && self.edge_removals.is_empty()
+    }
+}
+
+/// What one [`Graph::apply_batch`] changed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GraphEdit {
+    /// The effective mutations: deletes of live edges as `(min, max)`
+    /// pairs in pre-edit edge-id order, then the additions the graph
+    /// accepted, as given. The added edges are the last
+    /// `delta.inserts.len()` edge ids of the edited graph.
+    pub delta: EdgeDelta,
+    /// The removed edges `(u, v, label)`, in pre-edit edge-id order.
+    pub removed: Vec<(NodeId, NodeId, Label)>,
+    /// Node count before the edit; nodes from here on were appended.
+    pub old_node_count: usize,
+    /// Every endpoint of a removed or added edge, ascending, with its
+    /// degree before the edit (0 for an appended node).
+    pub touched: Vec<(NodeId, u32)>,
 }
 
 /// A sorted adjacency that tracks edge inserts and deletes in place.

@@ -1,11 +1,14 @@
 //! Core labeled, undirected graph type.
 //!
 //! Graphs here are simple (no self-loops, no parallel edges), undirected,
-//! and labeled on both nodes and edges. Construction is append-only:
-//! systems that need deletion (e.g. repository maintenance) operate at the
-//! granularity of whole graphs or derive subgraphs instead of mutating in
-//! place, which keeps indices stable and the representation compact.
+//! and labeled on both nodes and edges. Nodes are append-only. Edges
+//! are appended one at a time and removed in batches by
+//! [`Graph::remove_edges`], which renumbers the survivors densely and
+//! keeps every adjacency row in edge-id order, so an edited graph is
+//! identical to one built from scratch from the same edge sequence.
+//! [`Graph::apply_batch`] applies a whole churn batch that way.
 
+use crate::delta::{EdgeBatch, EdgeDelta, GraphEdit};
 use std::fmt;
 
 /// A node identifier, dense in `0..graph.node_count()`.
@@ -61,8 +64,10 @@ pub(crate) struct EdgeData {
     pub label: Label,
 }
 
-/// An undirected, simple, labeled graph.
-#[derive(Debug, Clone, Default)]
+/// An undirected, simple, labeled graph. Two graphs are equal when
+/// their node labels, edge ids, endpoints, edge labels and adjacency
+/// rows are, in order: equal representations, not just isomorphic ones.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     node_labels: Vec<Label>,
     edges: Vec<EdgeData>,
@@ -119,6 +124,105 @@ impl Graph {
         self.adj[u.index()].push((v, id));
         self.adj[v.index()].push((u, id));
         Some(id)
+    }
+
+    /// Removes the edges `dead` (any order, duplicates ignored; an id
+    /// out of range panics) in one pass over the edges and the rows.
+    /// Surviving edges keep their relative order and are renumbered
+    /// densely, and each adjacency row keeps its order, so the result
+    /// equals re-adding the surviving edges, in id order, to a graph
+    /// with the same nodes. Returns the removed edges `(u, v, label)` in
+    /// id order.
+    pub fn remove_edges(&mut self, dead: &[EdgeId]) -> Vec<(NodeId, NodeId, Label)> {
+        if dead.is_empty() {
+            return Vec::new();
+        }
+        const GONE: u32 = u32::MAX;
+        // old edge id -> new edge id, or GONE
+        let mut renumber = vec![0u32; self.edges.len()];
+        for &e in dead {
+            renumber[e.index()] = GONE;
+        }
+        let mut removed = Vec::with_capacity(dead.len());
+        let mut kept = 0usize;
+        for (old, new) in renumber.iter_mut().enumerate() {
+            let d = self.edges[old];
+            if *new == GONE {
+                removed.push((d.u, d.v, d.label));
+            } else {
+                *new = kept as u32;
+                self.edges[kept] = d;
+                kept += 1;
+            }
+        }
+        self.edges.truncate(kept);
+        for row in &mut self.adj {
+            row.retain_mut(|(_, e)| match renumber[e.index()] {
+                GONE => false,
+                new => {
+                    *e = EdgeId(new);
+                    true
+                }
+            });
+        }
+        removed
+    }
+
+    /// Applies `batch` in place: the removals that name a live edge of
+    /// the pre-edit graph, then the node appends, then every addition
+    /// [`Graph::add_edge`] accepts, in order. Removals of absent pairs
+    /// are ignored, a pair named twice (in either orientation) is
+    /// removed once, and a removed pair may be re-added by the same
+    /// batch. Returns what changed.
+    pub fn apply_batch(&mut self, batch: &EdgeBatch) -> GraphEdit {
+        let old_node_count = self.node_count();
+        let mut dead: Vec<EdgeId> = batch
+            .edge_removals
+            .iter()
+            .filter(|&&(a, b)| (a as usize) < old_node_count && (b as usize) < old_node_count)
+            .filter_map(|&(a, b)| self.edge_between(NodeId(a), NodeId(b)))
+            .collect();
+        dead.sort_unstable();
+        dead.dedup();
+        let removed = self.remove_edges(&dead);
+        for &l in &batch.node_additions {
+            self.add_node(l);
+        }
+        let mut delta = EdgeDelta::new();
+        delta.deletes = removed
+            .iter()
+            .map(|&(u, v, _)| (u.0.min(v.0), u.0.max(v.0)))
+            .collect();
+        for &(u, v, l) in &batch.edge_additions {
+            if self.add_edge(NodeId(u), NodeId(v), l).is_some() {
+                delta.inserts.push((u, v));
+            }
+        }
+        // degree before the edit = degree now + deletes - inserts
+        let mut shifts: Vec<(u32, i64)> = Vec::with_capacity(2 * delta.len());
+        for &(u, v) in &delta.deletes {
+            shifts.extend([(u, 1), (v, 1)]);
+        }
+        for &(u, v) in &delta.inserts {
+            shifts.extend([(u, -1), (v, -1)]);
+        }
+        shifts.sort_unstable_by_key(|&(v, _)| v);
+        let mut net: Vec<(NodeId, i64)> = Vec::new();
+        for (v, s) in shifts {
+            match net.last_mut() {
+                Some((w, n)) if w.0 == v => *n += s,
+                _ => net.push((NodeId(v), s)),
+            }
+        }
+        GraphEdit {
+            delta,
+            removed,
+            old_node_count,
+            touched: net
+                .into_iter()
+                .map(|(v, n)| (v, (self.degree(v) as i64 + n) as u32))
+                .collect(),
+        }
     }
 
     /// Number of nodes.

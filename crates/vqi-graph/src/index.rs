@@ -27,6 +27,7 @@
 //! Every check here is a *necessary* condition only — the index never
 //! changes an answer, it only lets the kernels refuse doomed work early.
 
+use crate::delta::GraphEdit;
 use crate::graph::{EdgeId, Graph, Label, NodeId, WILDCARD_LABEL};
 use rand::splitmix64;
 
@@ -41,6 +42,39 @@ fn histogram(mut labels: Vec<Label>) -> Vec<(Label, u32)> {
         }
     }
     out
+}
+
+/// Adds `by` (which may be negative) to the count of `key` in the
+/// label-sorted runs `runs`, inserting or dropping the run as needed.
+fn shift_run<K: Ord>(runs: &mut Vec<(K, u32)>, key: K, by: i64) {
+    match runs.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(i) => match runs[i].1 as i64 + by {
+            0 => {
+                runs.remove(i);
+            }
+            c => runs[i].1 = c as u32,
+        },
+        Err(i) => runs.insert(i, (key, by as u32)),
+    }
+}
+
+/// Replaces one occurrence of `from` in the descending sequence `desc`
+/// by `to`, keeping it descending: only the entries between the two
+/// values' positions move.
+fn move_degree(desc: &mut [u32], from: u32, to: u32) {
+    if to > from {
+        // first occurrence of `from`; `to` goes after every entry >= to
+        let i = desc.partition_point(|&d| d > from);
+        let j = desc.partition_point(|&d| d >= to);
+        desc[j..=i].rotate_right(1);
+        desc[j] = to;
+    } else if to < from {
+        // last occurrence of `from`; `to` goes after every entry > to
+        let i = desc.partition_point(|&d| d >= from) - 1;
+        let k = desc.partition_point(|&d| d > to);
+        desc[i..k].rotate_left(1);
+        desc[k - 1] = to;
+    }
 }
 
 /// True if histogram `small` is a sub-multiset of histogram `big`
@@ -114,6 +148,39 @@ impl Fingerprint {
             edge_types,
             has_wildcard,
         }
+    }
+
+    /// Moves the fingerprint of the pre-edit graph to that of `g`, the
+    /// graph `edit` produced: the histogram runs by the removed and
+    /// added edges and appended nodes, the degree sequence by the
+    /// touched nodes' degree changes.
+    fn patch(&mut self, g: &Graph, edit: &GraphEdit) {
+        let edge_type = |u: NodeId, v: NodeId, l: Label| {
+            let (lu, lv) = (g.node_label(u), g.node_label(v));
+            (l, lu.min(lv), lu.max(lv))
+        };
+        for v in edit.old_node_count..g.node_count() {
+            shift_run(&mut self.node_hist, g.node_label(NodeId(v as u32)), 1);
+        }
+        for &(u, v, l) in &edit.removed {
+            shift_run(&mut self.edge_hist, l, -1);
+            shift_run(&mut self.edge_types, edge_type(u, v, l), -1);
+        }
+        for e in (g.edge_count() - edit.delta.inserts.len())..g.edge_count() {
+            let e = EdgeId(e as u32);
+            let (u, v) = g.endpoints(e);
+            shift_run(&mut self.edge_hist, g.edge_label(e), 1);
+            shift_run(&mut self.edge_types, edge_type(u, v, g.edge_label(e)), 1);
+        }
+        // appended nodes enter at degree 0, the tail of the sequence
+        self.degrees_desc.resize(g.node_count(), 0);
+        for &(v, before) in &edit.touched {
+            move_degree(&mut self.degrees_desc, before, g.degree(v) as u32);
+        }
+        self.nodes = g.node_count() as u32;
+        self.edges = g.edge_count() as u32;
+        self.has_wildcard = self.node_hist.iter().any(|&(l, _)| l == WILDCARD_LABEL)
+            || self.edge_hist.iter().any(|&(l, _)| l == WILDCARD_LABEL);
     }
 
     /// True if any node or edge label is [`WILDCARD_LABEL`].
@@ -214,8 +281,8 @@ pub fn node_sig(g: &Graph, v: NodeId) -> NodeSig {
 /// graph, so the owner pairs them (an index is only valid for the exact
 /// graph it was built from): a collection's graphs keep theirs in their
 /// `vqi_core::repo::GraphEntry`, a network maintainer beside its
-/// network.
-#[derive(Debug, Clone)]
+/// network, which follows each edit with [`GraphIndex::patch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphIndex {
     /// CSR offsets: node `v`'s neighbors live at `nbr[offsets[v]..offsets[v+1]]`.
     offsets: Vec<u32>,
@@ -253,6 +320,29 @@ impl GraphIndex {
             sigs,
             fingerprint: Fingerprint::of(g),
         }
+    }
+
+    /// Moves the index of the pre-edit graph to the index of `g`, the
+    /// graph that [`Graph::apply_batch`] left with `edit`: equal to
+    /// `GraphIndex::build(g)`, at a cost of one CSR repack plus work in
+    /// the size of the edit. Label buckets are rebuilt only when nodes
+    /// were appended; signatures are recomputed only for touched and
+    /// appended nodes.
+    pub fn patch(&mut self, g: &Graph, edit: &GraphEdit) {
+        debug_assert_eq!(self.node_count(), edit.old_node_count);
+        crate::storage::pack_adjacency_into(g, &mut self.offsets, &mut self.nbr);
+        if g.node_count() > edit.old_node_count {
+            let node_labels: Vec<Label> = g.nodes().map(|v| g.node_label(v)).collect();
+            (self.labels, self.bucket_offsets, self.by_label) =
+                crate::storage::label_buckets(&node_labels);
+            self.sigs.extend(
+                (edit.old_node_count..g.node_count()).map(|v| node_sig(g, NodeId(v as u32))),
+            );
+        }
+        for &(v, _) in &edit.touched {
+            self.sigs[v.index()] = node_sig(g, v);
+        }
+        self.fingerprint.patch(g, edit);
     }
 
     /// Number of indexed nodes.

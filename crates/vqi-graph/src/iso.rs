@@ -128,7 +128,7 @@ pub struct PatternPlan<'p> {
 /// The empty slot of a VF2 core mapping.
 const UNMAPPED: NodeId = NodeId(u32::MAX);
 
-struct Vf2<'a, F: FnMut(&[NodeId]) -> bool> {
+struct Vf2<'a, F: FnMut(&[NodeId], &[EdgeId]) -> bool> {
     plan: &'a PatternPlan<'a>,
     target: &'a Graph,
     /// compiled target index; `None` = naive scans
@@ -140,6 +140,10 @@ struct Vf2<'a, F: FnMut(&[NodeId]) -> bool> {
     core_p: Vec<NodeId>,
     /// reverse mapping target -> pattern
     core_t: Vec<NodeId>,
+    /// pattern edge -> the target edge `feasible` matched it to; valid
+    /// for every pattern edge once a full mapping is reached. Empty
+    /// (nothing recorded) unless the visitor reads matched edges.
+    core_e: Vec<EdgeId>,
     /// candidate targets of every open search node, deepest last
     stack: Vec<NodeId>,
     states: u64,
@@ -202,7 +206,7 @@ fn matching_order(pattern: &Graph) -> Vec<NodeId> {
     order
 }
 
-impl<'a, F: FnMut(&[NodeId]) -> bool> Vf2<'a, F> {
+impl<'a, F: FnMut(&[NodeId], &[EdgeId]) -> bool> Vf2<'a, F> {
     #[inline]
     fn target_edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         match self.idx {
@@ -211,7 +215,7 @@ impl<'a, F: FnMut(&[NodeId]) -> bool> Vf2<'a, F> {
         }
     }
 
-    fn feasible(&self, p: NodeId, t: NodeId) -> bool {
+    fn feasible(&mut self, p: NodeId, t: NodeId) -> bool {
         let pattern = self.plan.pattern;
         if !labels_compatible(
             pattern.node_label(p),
@@ -238,6 +242,9 @@ impl<'a, F: FnMut(&[NodeId]) -> bool> Vf2<'a, F> {
                         self.opts.wildcard,
                     ) {
                         return false;
+                    }
+                    if let Some(slot) = self.core_e.get_mut(pe.index()) {
+                        *slot = te;
                     }
                 }
                 None => return false,
@@ -280,7 +287,7 @@ impl<'a, F: FnMut(&[NodeId]) -> bool> Vf2<'a, F> {
     fn search(&mut self, depth: usize) -> bool {
         if depth == self.plan.order.len() {
             self.found += 1;
-            if !(self.visit)(&self.core_p) || self.found >= self.opts.max_embeddings {
+            if !(self.visit)(&self.core_p, &self.core_e) || self.found >= self.opts.max_embeddings {
                 return false;
             }
             return true;
@@ -364,13 +371,16 @@ impl<'p> PatternPlan<'p> {
     }
 
     /// The one search behind every entry point. `idx`, when given, must
-    /// have been built from this exact `target`.
-    fn run<F: FnMut(&[NodeId]) -> bool>(
+    /// have been built from this exact `target`. With `record_edges`
+    /// the visitor also gets the target edge of every pattern edge;
+    /// without, an empty slice.
+    fn run<F: FnMut(&[NodeId], &[EdgeId]) -> bool>(
         &self,
         target: &Graph,
         idx: Option<&GraphIndex>,
         opts: MatchOptions,
         meter: Option<Meter>,
+        record_edges: bool,
         visit: F,
     ) -> Result<SearchOutcome, VqiError> {
         let empty = |filtered| SearchOutcome {
@@ -405,6 +415,11 @@ impl<'p> PatternPlan<'p> {
             use_sigs,
             core_p: vec![UNMAPPED; pattern.node_count()],
             core_t: vec![UNMAPPED; target.node_count()],
+            core_e: if record_edges {
+                vec![EdgeId(u32::MAX); pattern.edge_count()]
+            } else {
+                Vec::new()
+            },
             stack: Vec::new(),
             states: 0,
             found: 0,
@@ -436,10 +451,10 @@ impl<'p> PatternPlan<'p> {
         target: &Graph,
         idx: Option<&GraphIndex>,
         opts: MatchOptions,
-        visit: F,
+        mut visit: F,
     ) -> SearchOutcome {
         // without a meter the search cannot abort
-        self.run(target, idx, opts, None, visit)
+        self.run(target, idx, opts, None, false, |mapping, _| visit(mapping))
             .unwrap_or(SearchOutcome {
                 complete: false,
                 embeddings: 0,
@@ -461,9 +476,16 @@ impl<'p> PatternPlan<'p> {
         idx: Option<&GraphIndex>,
         opts: MatchOptions,
         budget: &Budget,
-        visit: F,
+        mut visit: F,
     ) -> Result<SearchOutcome, VqiError> {
-        self.run(target, idx, opts, Some(budget.meter("kernel.vf2")), visit)
+        self.run(
+            target,
+            idx,
+            opts,
+            Some(budget.meter("kernel.vf2")),
+            false,
+            |mapping, _| visit(mapping),
+        )
     }
 
     /// True if the pattern occurs in `target`.
@@ -482,9 +504,9 @@ impl<'p> PatternPlan<'p> {
     }
 
     /// The set of `target` edge ids touched by any embedding
-    /// (deduplicated, sorted). Enumeration is capped by `opts`; with the
-    /// default caps this is exact for the small patterns used in
-    /// practice.
+    /// (deduplicated, sorted), read off the edges the search matched.
+    /// Enumeration is capped by `opts`; with the default caps this is
+    /// exact for the small patterns used in practice.
     pub fn covered_edges(
         &self,
         target: &Graph,
@@ -492,17 +514,10 @@ impl<'p> PatternPlan<'p> {
         opts: MatchOptions,
     ) -> Vec<EdgeId> {
         let mut covered = vec![false; target.edge_count()];
-        self.enumerate(target, idx, opts, |mapping| {
-            for e in self.pattern.edges() {
-                let (u, v) = self.pattern.endpoints(e);
-                let (tu, tv) = (mapping[u.index()], mapping[v.index()]);
-                let te = match idx {
-                    Some(ix) => ix.edge_between(tu, tv),
-                    None => target.edge_between(tu, tv),
-                };
-                if let Some(te) = te {
-                    covered[te.index()] = true;
-                }
+        // without a meter the search cannot abort
+        let _ = self.run(target, idx, opts, None, true, |_, edges| {
+            for te in edges {
+                covered[te.index()] = true;
             }
             true
         });
@@ -843,6 +858,59 @@ mod tests {
             }
         }
         assert!(found > 0 && cut > 0, "found {found}, truncated {cut}");
+    }
+
+    #[test]
+    fn covered_edges_are_the_edges_of_the_visited_embeddings() {
+        // the edges the search records while matching must be the ones
+        // an edge lookup per pattern edge of each embedding finds
+        use crate::generate::{assign_labels, erdos_renyi};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let truncated = MatchOptions {
+            max_states: 20,
+            ..Default::default()
+        };
+        let mut covered = 0;
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(3000 + seed);
+            let mut pattern = erdos_renyi(3 + (seed as usize) % 3, 0.6, 0, &mut rng);
+            assign_labels(&mut pattern, 2, 2, &mut rng);
+            if seed % 3 == 0 {
+                pattern.set_edge_label(EdgeId(0), WILDCARD_LABEL);
+            }
+            let mut target = erdos_renyi(12, 0.4, 0, &mut rng);
+            assign_labels(&mut target, 2, 2, &mut rng);
+            let idx = GraphIndex::build(&target);
+            let plan = PatternPlan::new(&pattern);
+            for opts in [
+                MatchOptions::default(),
+                MatchOptions::with_wildcards(),
+                MatchOptions::induced(),
+                truncated,
+            ] {
+                for ix in [None, Some(&idx)] {
+                    let mut want = vec![false; target.edge_count()];
+                    plan.enumerate(&target, ix, opts, |m| {
+                        for e in pattern.edges() {
+                            let (u, v) = pattern.endpoints(e);
+                            let te = target.edge_between(m[u.index()], m[v.index()]);
+                            want[te.expect("an embedding maps edges onto edges").index()] = true;
+                        }
+                        true
+                    });
+                    let want: Vec<EdgeId> = target.edges().filter(|e| want[e.index()]).collect();
+                    assert_eq!(
+                        plan.covered_edges(&target, ix, opts),
+                        want,
+                        "seed {seed}, indexed {}, {opts:?}",
+                        ix.is_some()
+                    );
+                    covered += want.len();
+                }
+            }
+        }
+        assert!(covered > 0);
     }
 
     #[test]

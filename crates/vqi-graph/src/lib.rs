@@ -5,14 +5,16 @@
 //! scratch:
 //!
 //! * [`graph::Graph`] — an undirected, node- and edge-labeled graph with
-//!   append-only construction and cheap subgraph extraction;
+//!   append-only nodes, in-place batch edge edits and cheap subgraph
+//!   extraction;
 //! * [`iso`] — VF2-style subgraph-isomorphism search with wildcard labels,
 //!   embedding enumeration, and coverage helpers;
 //! * [`canon`] — canonical codes for small graphs (pattern deduplication);
 //! * [`truss`] — k-truss decomposition and the truss-infested /
 //!   truss-oblivious split used by TATTOO;
-//! * [`delta`] — edge-churn batches ([`delta::EdgeDelta`]) consumed by the
-//!   incremental maintainers in [`truss`] and [`graphlet`];
+//! * [`delta`] — edge-churn batches: labelled [`delta::EdgeBatch`]es a
+//!   graph applies in place, and the [`delta::EdgeDelta`]s consumed by
+//!   the incremental maintainers in [`truss`] and [`graphlet`];
 //! * [`graphlet`] — the exact connected-graphlet census (edge-local
 //!   counting, with ESU as the test oracle), its incremental maintainer,
 //!   and the graphlet frequency distributions used by MIDAS;
@@ -26,7 +28,7 @@
 //! * [`index`] — compiled per-graph matching indexes (CSR adjacency,
 //!   label-partitioned candidate buckets, invariant signatures) and
 //!   graph fingerprints for constant-time infeasibility checks and MCS
-//!   upper bounds;
+//!   upper bounds, patched in place after a batch edit;
 //! * [`par`] — deterministic fork-join helpers (order-stable chunked
 //!   maps over scoped threads) used by every parallel kernel path, with
 //!   a global sequential toggle, thread-count controls, and the
@@ -60,7 +62,7 @@ pub mod traversal;
 pub mod truss;
 pub mod wal;
 
-pub use delta::EdgeDelta;
+pub use delta::{EdgeBatch, EdgeDelta, GraphEdit};
 pub use graph::{EdgeId, Graph, Label, NodeId, WILDCARD_LABEL};
 
 /// Serializes tests that read or flip crate-global state (the `par`

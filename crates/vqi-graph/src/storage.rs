@@ -115,18 +115,29 @@ impl GraphStorage for Graph {
 
 /// Packs a [`Graph`]'s adjacency into CSR `(offsets, nbr)` arrays,
 /// preserving per-row insertion order. Shared by [`CsrGraph::from_graph`]
-/// and [`crate::index::GraphIndex::build`] so there is exactly one CSR
+/// and [`crate::index::GraphIndex`] so there is exactly one CSR
 /// packing in the crate.
 pub(crate) fn pack_adjacency(g: &Graph) -> (Vec<u32>, Vec<(NodeId, EdgeId)>) {
-    let n = g.node_count();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut nbr = Vec::with_capacity(2 * g.edge_count());
+    let (mut offsets, mut nbr) = (Vec::new(), Vec::new());
+    pack_adjacency_into(g, &mut offsets, &mut nbr);
+    (offsets, nbr)
+}
+
+/// [`pack_adjacency`] into existing buffers, reusing their allocations.
+pub(crate) fn pack_adjacency_into(
+    g: &Graph,
+    offsets: &mut Vec<u32>,
+    nbr: &mut Vec<(NodeId, EdgeId)>,
+) {
+    offsets.clear();
+    offsets.reserve(g.node_count() + 1);
+    nbr.clear();
+    nbr.reserve(2 * g.edge_count());
     offsets.push(0u32);
     for v in g.nodes() {
         nbr.extend_from_slice(g.neighbor_slice(v));
         offsets.push(nbr.len() as u32);
     }
-    (offsets, nbr)
 }
 
 /// Builds label buckets over per-node labels: distinct labels ascending,

@@ -5,14 +5,15 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use vqi_graph::delta::EdgeDelta;
+use vqi_graph::delta::{EdgeBatch, EdgeDelta, GraphEdit};
 use vqi_graph::generate::{
     chain, clique, cycle, erdos_renyi, star, synthetic_network, SyntheticSpec,
 };
-use vqi_graph::graph::{Graph, NodeId};
+use vqi_graph::graph::{EdgeId, Graph, Label, NodeId, WILDCARD_LABEL};
 use vqi_graph::graphlet::{
     count_graphlets, count_graphlets_ctrl, count_graphlets_par, CensusMaintainer,
 };
+use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::{is_subgraph_isomorphic, MatchOptions};
 use vqi_graph::metrics::{average_degree, degree_histogram};
 use vqi_graph::par;
@@ -370,4 +371,202 @@ fn census_maintainer_sequence_matches_esu_oracle() {
         }
     }
     par::set_thread_cap(0);
+}
+
+/// `batch` applied by rebuilding: a fresh graph with every node (old and
+/// appended), the edges of `pre` that no removal names in edge-id
+/// order, then the additions `Graph::add_edge` accepts; with the
+/// effective delta (live removals in edge order, accepted additions).
+fn rebuild(pre: &Graph, batch: &EdgeBatch) -> (Graph, EdgeDelta) {
+    let key = |a: u32, b: u32| (a.min(b), a.max(b));
+    let removals: BTreeSet<(u32, u32)> = batch
+        .edge_removals
+        .iter()
+        .map(|&(a, b)| key(a, b))
+        .collect();
+    let mut next = Graph::new();
+    for v in pre.nodes() {
+        next.add_node(pre.node_label(v));
+    }
+    for &l in &batch.node_additions {
+        next.add_node(l);
+    }
+    let mut delta = EdgeDelta::new();
+    for e in pre.edges() {
+        let (u, v) = pre.endpoints(e);
+        if removals.contains(&key(u.0, v.0)) {
+            delta.deletes.push(key(u.0, v.0));
+        } else {
+            next.add_edge(u, v, pre.edge_label(e));
+        }
+    }
+    for &(u, v, l) in &batch.edge_additions {
+        if next.add_edge(NodeId(u), NodeId(v), l).is_some() {
+            delta.inserts.push((u, v));
+        }
+    }
+    (next, delta)
+}
+
+/// Node labels, edge ids with endpoints (in stored orientation) and
+/// labels, and every adjacency row in order must agree.
+fn assert_same_graph(got: &Graph, want: &Graph, ctx: &str) {
+    assert_eq!(got.node_count(), want.node_count(), "{ctx}: nodes");
+    assert_eq!(got.edge_count(), want.edge_count(), "{ctx}: edges");
+    for v in want.nodes() {
+        assert_eq!(got.node_label(v), want.node_label(v), "{ctx}: label of {v}");
+        assert_eq!(
+            got.neighbor_slice(v),
+            want.neighbor_slice(v),
+            "{ctx}: row of {v}"
+        );
+    }
+    for e in want.edges() {
+        assert_eq!(
+            got.endpoints(e),
+            want.endpoints(e),
+            "{ctx}: endpoints of {e}"
+        );
+        assert_eq!(got.edge_label(e), want.edge_label(e), "{ctx}: label of {e}");
+    }
+}
+
+/// A churn batch over `g` that hits every edge case of `apply_batch`:
+/// live and absent removals, both orientations of one pair, a removal
+/// re-added with another label, duplicate additions, self-loops,
+/// endpoints out of range (before and after the append), and appended
+/// nodes joined to the network and to each other.
+fn edge_case_batch(g: &Graph, rng: &mut SmallRng) -> EdgeBatch {
+    let n = g.node_count() as u32;
+    let m = g.edge_count();
+    let mut batch = EdgeBatch::default();
+    let live = |rng: &mut SmallRng| {
+        let (u, v) = g.endpoints(EdgeId(rng.gen_range(0..m as u32)));
+        (u.0, v.0)
+    };
+    if m > 0 {
+        for _ in 0..rng.gen_range(0..4) {
+            batch.edge_removals.push(live(rng));
+        }
+        let (a, b) = live(rng);
+        batch.edge_removals.extend([(a, b), (b, a)]);
+        let (c, d) = live(rng);
+        batch.edge_removals.push((c, d));
+        batch.edge_additions.push((d, c, rng.gen_range(0..3)));
+    }
+    // absent pairs, a self-loop, and endpoints beyond the pre-edit graph
+    batch
+        .edge_removals
+        .push((rng.gen_range(0..n), rng.gen_range(0..n)));
+    batch.edge_removals.extend([(0, 0), (0, n), (n + 7, 1)]);
+    let appended = rng.gen_range(0..4u32);
+    for _ in 0..appended {
+        let l = if rng.gen_bool(0.1) {
+            WILDCARD_LABEL
+        } else {
+            rng.gen_range(0..4)
+        };
+        batch.node_additions.push(l);
+    }
+    let span = n + appended;
+    for _ in 0..rng.gen_range(1..6) {
+        let (u, v) = (rng.gen_range(0..span), rng.gen_range(0..span));
+        let l = if rng.gen_bool(0.1) {
+            WILDCARD_LABEL
+        } else {
+            rng.gen_range(0..3)
+        };
+        batch.edge_additions.push((u, v, l));
+        if rng.gen_bool(0.3) {
+            // a duplicate, reversed and relabelled
+            batch.edge_additions.push((v, u, l ^ 1));
+        }
+    }
+    for k in 0..appended {
+        batch
+            .edge_additions
+            .push((n + k, rng.gen_range(0..span), 1));
+    }
+    batch
+        .edge_additions
+        .extend([(1, 1, 0), (0, span, 0), (span + 3, 2, 0)]);
+    batch
+}
+
+/// `Graph::apply_batch` plus `GraphIndex::patch` equal a from-scratch
+/// rebuild plus `GraphIndex::build` after every batch: graph, emitted
+/// delta, touched nodes with their pre-edit degrees, and the index.
+#[test]
+fn in_place_edit_and_patched_index_equal_a_rebuild() {
+    for seed in 0..16u64 {
+        let rng = &mut SmallRng::seed_from_u64(seed);
+        let mut g = random_graph(rng, 24);
+        for e in g.edges().collect::<Vec<_>>() {
+            g.set_edge_label(e, rng.gen_range(0..3));
+        }
+        let mut idx = GraphIndex::build(&g);
+        for round in 0..10 {
+            let ctx = format!("seed {seed} batch {round}");
+            let batch = edge_case_batch(&g, rng);
+            let (want, want_delta) = rebuild(&g, &batch);
+            let pre = g.clone();
+            let edit: GraphEdit = g.apply_batch(&batch);
+            assert_same_graph(&g, &want, &ctx);
+            assert_eq!(edit.delta, want_delta, "{ctx}: delta");
+            assert_eq!(edit.old_node_count, pre.node_count(), "{ctx}");
+            assert_eq!(
+                edit.removed.len(),
+                want_delta.deletes.len(),
+                "{ctx}: removed"
+            );
+            let mut endpoints: Vec<u32> = want_delta
+                .deletes
+                .iter()
+                .chain(&want_delta.inserts)
+                .flat_map(|&(u, v)| [u, v])
+                .collect();
+            endpoints.sort_unstable();
+            endpoints.dedup();
+            let touched: Vec<u32> = edit.touched.iter().map(|&(v, _)| v.0).collect();
+            assert_eq!(touched, endpoints, "{ctx}: touched nodes");
+            for &(v, before) in &edit.touched {
+                let was = if v.index() < pre.node_count() {
+                    pre.degree(v)
+                } else {
+                    0
+                };
+                assert_eq!(before as usize, was, "{ctx}: degree of {v} before");
+            }
+            idx.patch(&g, &edit);
+            assert!(idx == GraphIndex::build(&want), "{ctx}: patched index");
+        }
+    }
+}
+
+/// `Graph::remove_edges` keeps the survivors' order and rows, whatever
+/// the order of the ids it is given, and hands back the removed edges.
+#[test]
+fn remove_edges_renumbers_survivors_in_order() {
+    let rng = &mut SmallRng::seed_from_u64(5);
+    let g = random_graph(rng, 12);
+    let dead: Vec<EdgeId> = g.edges().filter(|_| rng.gen_bool(0.4)).collect();
+    let mut edited = g.clone();
+    let mut shuffled: Vec<EdgeId> = dead.iter().rev().copied().collect();
+    shuffled.extend(dead.first());
+    let removed = edited.remove_edges(&shuffled);
+    let mut want = Graph::new();
+    for v in g.nodes() {
+        want.add_node(g.node_label(v));
+    }
+    let mut want_removed: Vec<(NodeId, NodeId, Label)> = Vec::new();
+    for e in g.edges() {
+        let (u, v) = g.endpoints(e);
+        if dead.contains(&e) {
+            want_removed.push((u, v, g.edge_label(e)));
+        } else {
+            want.add_edge(u, v, g.edge_label(e));
+        }
+    }
+    assert_same_graph(&edited, &want, "remove_edges");
+    assert_eq!(removed, want_removed);
 }
