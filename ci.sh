@@ -65,6 +65,8 @@ named_test -p midas swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache
 
 echo "== kernel consistency tests (indexed/bounded kernels vs naive) =="
 named_test -p vqi-graph indexed_matching_is_answer_identical_to_naive
+# an unsound fingerprint filter silently drops query answers
+named_test -p vqi-graph fingerprint_feasibility_is_necessary
 named_test -p vqi-graph bounded_fold_is_bit_identical_to_exact_fold
 named_test -p vqi-graph bounded_cached_folds_identically_and_keeps_entries_exact
 named_test -p vqi-core bound_and_skip_changes_no_selection

@@ -457,6 +457,13 @@ mod tests {
         // graph 2 one label-5 edge
         assert_eq!(filtered, 3);
         assert_eq!(m.hits, hits(&[(3, 2)]));
+        // both labels and both degrees fit, but the graph's label-3 edge
+        // joins labels 1 and 2 and its (2)-(2) edge carries label 0:
+        // only the edge-type multiset tells
+        let c = GraphCollection::new(vec![path(&[1, 2, 2], &[3, 0])]);
+        let (m, filtered) = sweep(&c, &path(&[2, 2], &[3]), MatchOptions::default());
+        assert_eq!(filtered, 1);
+        assert!(m.hits.is_empty());
     }
 
     #[test]

@@ -13,11 +13,9 @@
 //! [`GraphEdit`] it made: the effective `EdgeDelta` plus what
 //! [`crate::index::GraphIndex::patch`] needs to follow the graph.
 //!
-//! `DynamicAdjacency` is the crate-private mutable counterpart of
-//! [`crate::graph::SortedAdjacency`]: the same sorted rows, but kept live
-//! across batches so maintainers never rebuild adjacency from scratch.
+//! [`Graph::apply_batch`]: crate::graph::Graph::apply_batch
 
-use crate::graph::{EdgeId, Graph, Label, NodeId, SortedAdjacency};
+use crate::graph::{Label, NodeId};
 
 /// A batch of undirected edge mutations: `deletes` are applied first,
 /// then `inserts`. Endpoint pairs are raw node indices; order within a
@@ -73,8 +71,9 @@ impl EdgeDelta {
 }
 
 /// A batch of labelled edits to a graph, applied by
-/// [`Graph::apply_batch`]: removals first (against the edges live before
-/// the batch), then node appends, then additions in order.
+/// [`Graph::apply_batch`](crate::graph::Graph::apply_batch): removals
+/// first (against the edges live before the batch), then node appends,
+/// then additions in order.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeBatch {
     /// Labels of nodes to append (their ids continue the current space).
@@ -94,7 +93,8 @@ impl EdgeBatch {
     }
 }
 
-/// What one [`Graph::apply_batch`] changed.
+/// What one [`Graph::apply_batch`](crate::graph::Graph::apply_batch)
+/// changed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphEdit {
     /// The effective mutations: deletes of live edges as `(min, max)`
@@ -111,138 +111,9 @@ pub struct GraphEdit {
     pub touched: Vec<(NodeId, u32)>,
 }
 
-/// A sorted adjacency that tracks edge inserts and deletes in place.
-///
-/// Rows stay sorted by neighbor id, so lookups keep the
-/// [`SortedAdjacency`] cost model and the ESU census can run directly on
-/// [`Self::view`] with bit-identical traversal order.
-#[derive(Debug, Clone)]
-pub(crate) struct DynamicAdjacency {
-    view: SortedAdjacency,
-}
-
-impl DynamicAdjacency {
-    /// Snapshots `g` into a mutable adjacency. Edge ids mirror `g`'s.
-    pub(crate) fn from_graph(g: &Graph) -> Self {
-        Self {
-            view: g.sorted_adjacency(),
-        }
-    }
-
-    /// The read-only sorted view (always current).
-    #[inline]
-    pub(crate) fn view(&self) -> &SortedAdjacency {
-        &self.view
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub(crate) fn node_count(&self) -> usize {
-        self.view.node_count()
-    }
-
-    /// Grows the node universe to `n` nodes.
-    pub(crate) fn grow(&mut self, n: usize) {
-        self.view.grow_rows(n);
-    }
-
-    /// The edge between `u` and `v`, if present.
-    #[inline]
-    pub(crate) fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        self.view.edge_between(u, v)
-    }
-
-    /// True if `u -- v` exists.
-    #[inline]
-    pub(crate) fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.view.has_edge(u, v)
-    }
-
-    /// Inserts edge `e` between `u` and `v`; false if it already exists.
-    pub(crate) fn insert(&mut self, u: NodeId, v: NodeId, e: EdgeId) -> bool {
-        self.view.insert_sorted(u, v, e)
-    }
-
-    /// Removes the edge between `u` and `v`, returning its id.
-    pub(crate) fn remove(&mut self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        self.view.remove_sorted(u, v)
-    }
-
-    /// Calls `f(w, uw, vw)` for every common neighbor `w` of `u` and `v`,
-    /// where `uw`/`vw` are the edge ids of `u -- w` / `v -- w`. Sorted-merge
-    /// intersection, so triangles are visited in ascending `w` order.
-    pub(crate) fn common_neighbors(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        mut f: impl FnMut(NodeId, EdgeId, EdgeId),
-    ) {
-        let ru = self.view.neighbors(u);
-        let rv = self.view.neighbors(v);
-        let (mut i, mut j) = (0, 0);
-        while i < ru.len() && j < rv.len() {
-            let (a, ea) = ru[i];
-            let (b, eb) = rv[j];
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if a != u && a != v {
-                        f(a, ea, eb);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuilder;
-
-    fn diamond() -> Graph {
-        // a-b-c-d with chords a-c and b-d missing: the 4-cycle plus a-c
-        GraphBuilder::new()
-            .nodes(&[0, 0, 0, 0])
-            .edge(0, 1, 0)
-            .edge(1, 2, 0)
-            .edge(2, 3, 0)
-            .edge(3, 0, 0)
-            .edge(0, 2, 0)
-            .build()
-    }
-
-    #[test]
-    fn insert_and_remove_keep_rows_sorted() {
-        let g = diamond();
-        let mut adj = DynamicAdjacency::from_graph(&g);
-        assert!(adj.has_edge(NodeId(0), NodeId(2)));
-        assert!(!adj.insert(NodeId(0), NodeId(2), EdgeId(9)), "duplicate");
-        assert!(!adj.insert(NodeId(1), NodeId(1), EdgeId(9)), "self-loop");
-        assert!(adj.insert(NodeId(1), NodeId(3), EdgeId(5)));
-        for v in 0..4 {
-            let row = adj.view().neighbors(NodeId(v));
-            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row {v} sorted");
-        }
-        assert_eq!(adj.remove(NodeId(3), NodeId(1)), Some(EdgeId(5)));
-        assert_eq!(adj.remove(NodeId(3), NodeId(1)), None);
-        assert!(!adj.has_edge(NodeId(1), NodeId(3)));
-    }
-
-    #[test]
-    fn common_neighbors_enumerates_triangles() {
-        let g = diamond();
-        let adj = DynamicAdjacency::from_graph(&g);
-        let mut seen = Vec::new();
-        adj.common_neighbors(NodeId(0), NodeId(2), |w, _, _| seen.push(w.0));
-        assert_eq!(seen, vec![1, 3]);
-        let mut none = Vec::new();
-        adj.common_neighbors(NodeId(1), NodeId(3), |w, _, _| none.push(w.0));
-        assert_eq!(none, vec![0, 2]);
-    }
 
     #[test]
     fn delta_accessors() {

@@ -370,27 +370,7 @@ impl Graph {
     /// id it came from (`mapping[i]`). Nodes are renumbered densely in the
     /// order given; duplicate input nodes are ignored after the first.
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let mut index = vec![u32::MAX; self.node_count()];
-        let mut mapping = Vec::with_capacity(nodes.len());
-        let mut g = Graph::with_capacity(nodes.len(), nodes.len());
-        for &n in nodes {
-            if index[n.index()] == u32::MAX {
-                index[n.index()] = g.add_node(self.node_label(n)).0;
-                mapping.push(n);
-            }
-        }
-        for &n in &mapping {
-            for (m, e) in self.neighbors(n) {
-                if index[m.index()] != u32::MAX && n < m {
-                    g.add_edge(
-                        NodeId(index[n.index()]),
-                        NodeId(index[m.index()]),
-                        self.edge_label(e),
-                    );
-                }
-            }
-        }
-        (g, mapping)
+        crate::storage::induced_subgraph_of(self, nodes)
     }
 
     /// Builds the subgraph consisting of exactly `edge_ids` (plus their
@@ -493,10 +473,11 @@ impl SortedAdjacency {
         self.rows.len()
     }
 
-    // The mutation hooks below exist for `delta::DynamicAdjacency`, which
-    // keeps a SortedAdjacency live across edge insert/delete batches. They
-    // are crate-private: the public contract of SortedAdjacency stays "a
-    // frozen snapshot" everywhere else.
+    // The hooks below let the delta maintainers (`truss::TrussMaintainer`,
+    // `graphlet::CensusMaintainer`) keep a SortedAdjacency live across
+    // edge insert/delete batches. They are crate-private: the public
+    // contract of SortedAdjacency stays "a frozen snapshot" everywhere
+    // else.
 
     /// Grows the view to `n` rows (new rows empty).
     pub(crate) fn grow_rows(&mut self, n: usize) {
@@ -530,6 +511,34 @@ impl SortedAdjacency {
             }
         }
         Some(e)
+    }
+
+    /// Calls `f(w, uw, vw)` for every common neighbor `w` of `u` and `v`,
+    /// where `uw`/`vw` are the edge ids of `u -- w` / `v -- w`. Sorted-merge
+    /// intersection, so triangles are visited in ascending `w` order.
+    pub(crate) fn common_neighbors(
+        &self,
+        u: NodeId,
+        v: NodeId,
+        mut f: impl FnMut(NodeId, EdgeId, EdgeId),
+    ) {
+        let (ru, rv) = (self.neighbors(u), self.neighbors(v));
+        let (mut i, mut j) = (0, 0);
+        while i < ru.len() && j < rv.len() {
+            let (a, ea) = ru[i];
+            let (b, eb) = rv[j];
+            match a.cmp(&b) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    if a != u && a != v {
+                        f(a, ea, eb);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
     }
 }
 
@@ -727,5 +736,50 @@ mod tests {
                 assert_eq!(sorted.has_edge(u, v), g.has_edge(u, v));
             }
         }
+    }
+
+    fn diamond() -> Graph {
+        // the 4-cycle 0-1-2-3 plus the chord 0-2
+        GraphBuilder::new()
+            .nodes(&[0, 0, 0, 0])
+            .edge(0, 1, 0)
+            .edge(1, 2, 0)
+            .edge(2, 3, 0)
+            .edge(3, 0, 0)
+            .edge(0, 2, 0)
+            .build()
+    }
+
+    #[test]
+    fn insert_and_remove_keep_rows_sorted() {
+        let mut adj = diamond().sorted_adjacency();
+        assert!(adj.has_edge(NodeId(0), NodeId(2)));
+        assert!(
+            !adj.insert_sorted(NodeId(0), NodeId(2), EdgeId(9)),
+            "duplicate"
+        );
+        assert!(
+            !adj.insert_sorted(NodeId(1), NodeId(1), EdgeId(9)),
+            "self-loop"
+        );
+        assert!(adj.insert_sorted(NodeId(1), NodeId(3), EdgeId(5)));
+        for v in 0..4 {
+            let row = adj.neighbors(NodeId(v));
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row {v} sorted");
+        }
+        assert_eq!(adj.remove_sorted(NodeId(3), NodeId(1)), Some(EdgeId(5)));
+        assert_eq!(adj.remove_sorted(NodeId(3), NodeId(1)), None);
+        assert!(!adj.has_edge(NodeId(1), NodeId(3)));
+    }
+
+    #[test]
+    fn common_neighbors_enumerates_triangles() {
+        let adj = diamond().sorted_adjacency();
+        let mut seen = Vec::new();
+        adj.common_neighbors(NodeId(0), NodeId(2), |w, _, _| seen.push(w.0));
+        assert_eq!(seen, vec![1, 3]);
+        let mut none = Vec::new();
+        adj.common_neighbors(NodeId(1), NodeId(3), |w, _, _| none.push(w.0));
+        assert_eq!(none, vec![0, 2]);
     }
 }

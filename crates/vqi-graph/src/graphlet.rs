@@ -45,7 +45,7 @@
 //! any backend, and whether computed from scratch or maintained
 //! incrementally.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId, SortedAdjacency};
 use crate::par;
 use crate::storage::{GraphStorage, NeighborView, SortedCsr};
 use vqi_runtime::{Budget, VqiError};
@@ -536,7 +536,7 @@ pub struct CensusDeltaStats {
 /// across insert/delete/mixed batches).
 #[derive(Debug, Clone)]
 pub struct CensusMaintainer {
-    adj: crate::delta::DynamicAdjacency,
+    adj: SortedAdjacency,
     /// The kernel's mark buffer, one byte per node, all zero between
     /// mutations.
     marks: Vec<u8>,
@@ -547,9 +547,9 @@ pub struct CensusMaintainer {
 impl CensusMaintainer {
     /// Seeds the maintainer from `g` with a full parallel census.
     pub fn new(g: &Graph) -> Self {
-        let adj = crate::delta::DynamicAdjacency::from_graph(g);
+        let adj = g.sorted_adjacency();
         let n = adj.node_count();
-        let total = exact_census(adj.view(), n, None).expect("an unmetered census cannot fail");
+        let total = exact_census(&adj, n, None).expect("an unmetered census cannot fail");
         Self {
             adj,
             marks: vec![0; n],
@@ -576,7 +576,7 @@ impl CensusMaintainer {
     /// Grows the node universe to at least `n` nodes (new nodes are in
     /// no graphlet until edges arrive).
     pub fn grow_nodes(&mut self, n: usize) {
-        self.adj.grow(n);
+        self.adj.grow_rows(n);
         if n > self.marks.len() {
             self.marks.resize(n, 0);
         }
@@ -588,7 +588,7 @@ impl CensusMaintainer {
     /// rows scanned.
     fn toggle(&mut self, u: NodeId, v: NodeId, inserted: bool) -> usize {
         let mut cells = PairCells::default();
-        pair_cells(self.adj.view(), u, v, &mut self.marks, &mut cells);
+        pair_cells(&self.adj, u, v, &mut self.marks, &mut cells);
         let gone = cells.classes(!inserted);
         let born = cells.classes(inserted);
         for c in 0..GRAPHLET_CLASSES {
@@ -616,7 +616,7 @@ impl CensusMaintainer {
                 continue;
             }
             stats.recounted_roots += self.toggle(u, v, false);
-            self.adj.remove(u, v);
+            self.adj.remove_sorted(u, v);
             stats.deletes += 1;
         }
         for &(a, b) in &delta.inserts {
@@ -625,7 +625,7 @@ impl CensusMaintainer {
                 stats.skipped += 1;
                 continue;
             }
-            self.adj.insert(u, v, crate::graph::EdgeId(0));
+            self.adj.insert_sorted(u, v, EdgeId(0));
             stats.recounted_roots += self.toggle(u, v, true);
             stats.inserts += 1;
         }

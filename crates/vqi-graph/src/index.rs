@@ -1,15 +1,11 @@
-//! Per-graph matching indexes: CSR adjacency, label-partitioned
-//! candidate lists, per-node invariant signatures, and graph-level
-//! fingerprints.
+//! Per-graph matching indexes: label-partitioned candidate lists,
+//! per-node invariant signatures, and graph-level fingerprints.
 //!
 //! The VF2 and McGregor kernels in [`iso`](crate::iso) and
 //! [`mcs`](crate::mcs) are the hottest code in every pipeline. A
-//! [`GraphIndex`] compiles one immutable [`Graph`] into the three
-//! structures those searches actually want:
+//! [`GraphIndex`] adds to one [`Graph`] what those searches want and
+//! the graph lacks (adjacency rows they read from the graph itself):
 //!
-//! * **CSR adjacency** — one flat `(neighbor, edge)` array plus offsets,
-//!   so neighbor scans are a contiguous slice instead of a
-//!   `Vec<Vec<...>>` pointer chase;
 //! * **label buckets** — node ids grouped by label (id-ascending within
 //!   a bucket), so candidate enumeration for an unanchored pattern node
 //!   touches only same-label nodes;
@@ -78,14 +74,14 @@ fn move_degree(desc: &mut [u32], from: u32, to: u32) {
 }
 
 /// True if histogram `small` is a sub-multiset of histogram `big`
-/// (both sorted by label).
-fn sub_histogram(small: &[(Label, u32)], big: &[(Label, u32)]) -> bool {
+/// (both sorted by key).
+fn sub_histogram<K: Ord>(small: &[(K, u32)], big: &[(K, u32)]) -> bool {
     let mut bi = 0;
-    for &(l, c) in small {
-        while bi < big.len() && big[bi].0 < l {
+    for (k, c) in small {
+        while bi < big.len() && big[bi].0 < *k {
             bi += 1;
         }
-        if bi >= big.len() || big[bi].0 != l || big[bi].1 < c {
+        if bi >= big.len() || big[bi].0 != *k || big[bi].1 < *c {
             return false;
         }
     }
@@ -194,9 +190,11 @@ impl Fingerprint {
 /// exist, `true` means "maybe".
 ///
 /// Size and degree-sequence dominance are label-free, so they hold under
-/// wildcard matching too. The label-histogram sub-multiset checks are
-/// only applied when `wildcard` matching cannot fire (neither side
-/// carries a wildcard label, or wildcards are disabled).
+/// wildcard matching too. The sub-multiset checks on the node-label,
+/// edge-label and edge-type histograms (an embedding maps each pattern
+/// edge onto its own target edge of the same type) are only applied
+/// when `wildcard` matching cannot fire (neither side carries a
+/// wildcard label, or wildcards are disabled).
 pub fn subgraph_feasible(pattern: &Fingerprint, target: &Fingerprint, wildcard: bool) -> bool {
     if pattern.nodes > target.nodes || pattern.edges > target.edges {
         return false;
@@ -214,6 +212,7 @@ pub fn subgraph_feasible(pattern: &Fingerprint, target: &Fingerprint, wildcard: 
     }
     sub_histogram(&pattern.node_hist, &target.node_hist)
         && sub_histogram(&pattern.edge_hist, &target.edge_hist)
+        && sub_histogram(&pattern.edge_types, &target.edge_types)
 }
 
 /// Upper bound on `|E(mcs(a, b))|` from the edge-type histograms: a
@@ -284,10 +283,6 @@ pub fn node_sig(g: &Graph, v: NodeId) -> NodeSig {
 /// network, which follows each edit with [`GraphIndex::patch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphIndex {
-    /// CSR offsets: node `v`'s neighbors live at `nbr[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<u32>,
-    /// Flat neighbor array, same order as `Graph::neighbors`.
-    nbr: Vec<(NodeId, EdgeId)>,
     /// Distinct node labels, sorted ascending.
     labels: Vec<Label>,
     /// Bucket `i` (for `labels[i]`) is `by_label[bucket_offsets[i]..bucket_offsets[i+1]]`.
@@ -301,19 +296,14 @@ pub struct GraphIndex {
 }
 
 impl GraphIndex {
-    /// Compiles `g` into an index. The CSR adjacency and label buckets
-    /// come from the shared packers in [`crate::storage`]
-    /// (`pack_adjacency` / `label_buckets`) — the same code that builds
-    /// a [`crate::storage::CsrGraph`] — so there is exactly one CSR
-    /// packing in the crate and the two layouts cannot drift apart.
+    /// Compiles `g` into an index. The label buckets come from the
+    /// packer that also builds a [`crate::storage::CsrGraph`]'s
+    /// (`storage::label_buckets`), so the two cannot drift apart.
     pub fn build(g: &Graph) -> GraphIndex {
-        let (offsets, nbr) = crate::storage::pack_adjacency(g);
         let node_labels: Vec<Label> = g.nodes().map(|v| g.node_label(v)).collect();
         let (labels, bucket_offsets, by_label) = crate::storage::label_buckets(&node_labels);
         let sigs = g.nodes().map(|v| node_sig(g, v)).collect();
         GraphIndex {
-            offsets,
-            nbr,
             labels,
             bucket_offsets,
             by_label,
@@ -324,13 +314,12 @@ impl GraphIndex {
 
     /// Moves the index of the pre-edit graph to the index of `g`, the
     /// graph that [`Graph::apply_batch`] left with `edit`: equal to
-    /// `GraphIndex::build(g)`, at a cost of one CSR repack plus work in
-    /// the size of the edit. Label buckets are rebuilt only when nodes
-    /// were appended; signatures are recomputed only for touched and
-    /// appended nodes.
+    /// `GraphIndex::build(g)`, at a cost in the size of the edit plus
+    /// the degree-sequence moves. Label buckets are rebuilt only when
+    /// nodes were appended; signatures are recomputed only for touched
+    /// and appended nodes.
     pub fn patch(&mut self, g: &Graph, edit: &GraphEdit) {
         debug_assert_eq!(self.node_count(), edit.old_node_count);
-        crate::storage::pack_adjacency_into(g, &mut self.offsets, &mut self.nbr);
         if g.node_count() > edit.old_node_count {
             let node_labels: Vec<Label> = g.nodes().map(|v| g.node_label(v)).collect();
             (self.labels, self.bucket_offsets, self.by_label) =
@@ -347,31 +336,7 @@ impl GraphIndex {
 
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// CSR neighbor slice of `v` (same contents and order as
-    /// `Graph::neighbors`).
-    #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        let lo = self.offsets[v.index()] as usize;
-        let hi = self.offsets[v.index() + 1] as usize;
-        &self.nbr[lo..hi]
-    }
-
-    /// The edge between `u` and `v`, if any (scans the smaller CSR
-    /// slice).
-    #[inline]
-    pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let (a, b) = if self.neighbors(u).len() <= self.neighbors(v).len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a)
-            .iter()
-            .find(|&&(q, _)| q == b)
-            .map(|&(_, e)| e)
+        self.sigs.len()
     }
 
     /// Invariant signature of node `v`.
@@ -442,33 +407,16 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// The adjacency/bucket packing `build` inlined before it moved to
-    /// the shared `crate::storage` packers — byte-for-byte the old
-    /// code, kept as the reference the dedup must not drift from.
-    /// Adjacency offsets and entries, then bucket labels, offsets and
-    /// members.
-    type Packing = (
-        Vec<u32>,
-        Vec<(NodeId, EdgeId)>,
-        Vec<Label>,
-        Vec<u32>,
-        Vec<NodeId>,
-    );
-
-    fn legacy_packing(g: &Graph) -> Packing {
-        let n = g.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut nbr = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0u32);
-        for v in g.nodes() {
-            nbr.extend(g.neighbors(v));
-            offsets.push(nbr.len() as u32);
-        }
+    /// The bucket packing `build` inlined before it moved to the shared
+    /// `crate::storage::label_buckets` — byte-for-byte the old code,
+    /// kept as the reference the dedup must not drift from. Bucket
+    /// labels, offsets and members.
+    fn legacy_packing(g: &Graph) -> (Vec<Label>, Vec<u32>, Vec<NodeId>) {
         let mut pairs: Vec<(Label, NodeId)> = g.nodes().map(|v| (g.node_label(v), v)).collect();
         pairs.sort_unstable_by_key(|&(l, v)| (l, v.0));
         let mut labels = Vec::new();
         let mut bucket_offsets = vec![0u32];
-        let mut by_label = Vec::with_capacity(n);
+        let mut by_label = Vec::with_capacity(g.node_count());
         for (l, v) in pairs {
             if labels.last() != Some(&l) {
                 if !labels.is_empty() {
@@ -481,19 +429,17 @@ mod tests {
         if !labels.is_empty() {
             bucket_offsets.push(by_label.len() as u32);
         }
-        (offsets, nbr, labels, bucket_offsets, by_label)
+        (labels, bucket_offsets, by_label)
     }
 
     #[test]
     fn shared_packers_reproduce_the_legacy_packing_and_candidate_order() {
-        // the empty graph exercises the degenerate [0] + [0] shape
+        // the empty graph exercises the degenerate [0] bucket offsets
         // (bucket_offsets always has exactly labels.len() + 1 entries,
         // the invariant the VQICSR01 image layout relies on)
         for g in [Graph::new(), random_graph(80, 0.1, 3, 2, 41)] {
-            let (offsets, nbr, labels, bucket_offsets, by_label) = legacy_packing(&g);
+            let (labels, bucket_offsets, by_label) = legacy_packing(&g);
             let idx = GraphIndex::build(&g);
-            assert_eq!(idx.offsets, offsets);
-            assert_eq!(idx.nbr, nbr);
             assert_eq!(idx.labels, labels);
             assert_eq!(idx.bucket_offsets, bucket_offsets);
             assert_eq!(idx.by_label, by_label);
@@ -540,22 +486,6 @@ mod tests {
             let mut g2 = g.clone();
             g2.add_node(9);
             assert_ne!(Fingerprint::of(&g2), fp);
-        }
-    }
-
-    #[test]
-    fn csr_neighbors_match_graph_neighbors() {
-        for seed in 0..5u64 {
-            let g = random_graph(12, 0.3, 3, 2, seed);
-            let ix = GraphIndex::build(&g);
-            assert_eq!(ix.node_count(), g.node_count());
-            for v in g.nodes() {
-                let direct: Vec<(NodeId, EdgeId)> = g.neighbors(v).collect();
-                assert_eq!(ix.neighbors(v), direct.as_slice());
-                for u in g.nodes() {
-                    assert_eq!(ix.edge_between(v, u), g.edge_between(v, u));
-                }
-            }
         }
     }
 

@@ -33,19 +33,19 @@
 //! (1) rejects the whole pattern in constant time when the target's
 //! [fingerprint](crate::index::Fingerprint) cannot host it (counted as
 //! `kernel.iso.skip_fingerprint`), (2) enumerates unanchored candidates
-//! from the target's label buckets instead of scanning every node,
-//! (3) walks CSR neighbor slices instead of nested `Vec`s, and
-//! (4) prunes candidates whose invariant signature cannot dominate the
+//! from the target's label buckets instead of scanning every node, and
+//! (3) prunes candidates whose invariant signature cannot dominate the
 //! pattern node's before attempting a map (counted as
-//! `kernel.iso.pruned`). All four are necessary-condition filters, so
+//! `kernel.iso.pruned`). All three are necessary-condition filters, so
 //! the indexed search reports **exactly the same embeddings in the same
 //! order** as the naive one whenever the search runs to completion; a
 //! `max_states`-truncated indexed search can only get *further* than
 //! the naive one because pruned candidates don't spend budget.
 //! Signature pruning switches itself off when wildcard matching is on
 //! and either graph carries wildcard labels (bloom containment is not a
-//! necessary condition under wildcards); the other three filters are
-//! wildcard-safe.
+//! necessary condition under wildcards); the other two filters are
+//! wildcard-safe. Both searches read the target's adjacency rows from
+//! the [`Graph`] itself.
 
 use crate::graph::{EdgeId, Graph, Label, NodeId, WILDCARD_LABEL};
 use crate::index::{node_sig, subgraph_feasible, Fingerprint, GraphIndex, NodeSig};
@@ -207,14 +207,6 @@ fn matching_order(pattern: &Graph) -> Vec<NodeId> {
 }
 
 impl<'a, F: FnMut(&[NodeId], &[EdgeId]) -> bool> Vf2<'a, F> {
-    #[inline]
-    fn target_edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        match self.idx {
-            Some(ix) => ix.edge_between(u, v),
-            None => self.target.edge_between(u, v),
-        }
-    }
-
     fn feasible(&mut self, p: NodeId, t: NodeId) -> bool {
         let pattern = self.plan.pattern;
         if !labels_compatible(
@@ -234,7 +226,7 @@ impl<'a, F: FnMut(&[NodeId], &[EdgeId]) -> bool> Vf2<'a, F> {
             if tq == UNMAPPED {
                 continue;
             }
-            match self.target_edge_between(t, tq) {
+            match self.target.edge_between(t, tq) {
                 Some(te) => {
                     if !labels_compatible(
                         pattern.edge_label(pe),
@@ -253,22 +245,10 @@ impl<'a, F: FnMut(&[NodeId], &[EdgeId]) -> bool> Vf2<'a, F> {
         if self.opts.induced {
             // mapped pattern nodes NOT adjacent to p must map to targets
             // not adjacent to t
-            match self.idx {
-                Some(ix) => {
-                    for &(tn, _) in ix.neighbors(t) {
-                        let pq = self.core_t[tn.index()];
-                        if pq != UNMAPPED && !pattern.has_edge(p, pq) {
-                            return false;
-                        }
-                    }
-                }
-                None => {
-                    for (tn, _) in self.target.neighbors(t) {
-                        let pq = self.core_t[tn.index()];
-                        if pq != UNMAPPED && !pattern.has_edge(p, pq) {
-                            return false;
-                        }
-                    }
+            for (tn, _) in self.target.neighbors(t) {
+                let pq = self.core_t[tn.index()];
+                if pq != UNMAPPED && !pattern.has_edge(p, pq) {
+                    return false;
                 }
             }
         }
@@ -306,10 +286,7 @@ impl<'a, F: FnMut(&[NodeId], &[EdgeId]) -> bool> Vf2<'a, F> {
         let free = |t: &NodeId| self.core_t[t.index()] == UNMAPPED;
         let candidates = &mut self.stack;
         match (anchor, self.idx) {
-            (Some(a), Some(ix)) => {
-                candidates.extend(ix.neighbors(a).iter().map(|&(t, _)| t).filter(free))
-            }
-            (Some(a), None) => {
+            (Some(a), _) => {
                 candidates.extend(self.target.neighbors(a).map(|(t, _)| t).filter(free))
             }
             // label buckets: same nodes the naive scan keeps after its

@@ -25,10 +25,10 @@
 //!   topologies;
 //! * [`mcs`] — maximum-common-edge-subgraph search (exact with a node
 //!   budget, plus a greedy fallback) for diversity measures;
-//! * [`index`] — compiled per-graph matching indexes (CSR adjacency,
-//!   label-partitioned candidate buckets, invariant signatures) and
-//!   graph fingerprints for constant-time infeasibility checks and MCS
-//!   upper bounds, patched in place after a batch edit;
+//! * [`index`] — compiled per-graph matching indexes (label-partitioned
+//!   candidate buckets, invariant signatures) and graph fingerprints
+//!   for constant-time infeasibility checks and MCS upper bounds,
+//!   patched in place after a batch edit;
 //! * [`par`] — deterministic fork-join helpers (order-stable chunked
 //!   maps over scoped threads) used by every parallel kernel path, with
 //!   a global sequential toggle, thread-count controls, and the

@@ -37,7 +37,7 @@
 //! kernels only ever walk rows in that order — so outputs are
 //! bit-identical across backends, at any thread cap.
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId, SortedAdjacency};
 use crate::par;
 use crate::storage::GraphStorage;
 use vqi_runtime::{Budget, Meter, VqiError};
@@ -445,7 +445,7 @@ pub struct TrussDeltaStats {
 /// against [`trussness`] across insert/delete/mixed batches).
 #[derive(Debug, Clone)]
 pub struct TrussMaintainer {
-    adj: crate::delta::DynamicAdjacency,
+    adj: SortedAdjacency,
     /// Endpoints per edge slot (slots are recycled through `free`).
     endpoints: Vec<(NodeId, NodeId)>,
     alive: Vec<bool>,
@@ -461,7 +461,7 @@ impl TrussMaintainer {
     pub fn new(g: &Graph) -> Self {
         let m = g.edge_count();
         Self {
-            adj: crate::delta::DynamicAdjacency::from_graph(g),
+            adj: g.sorted_adjacency(),
             endpoints: g.edges().map(|e| g.endpoints(e)).collect(),
             alive: vec![true; m],
             free: Vec::new(),
@@ -483,7 +483,7 @@ impl TrussMaintainer {
 
     /// Grows the node universe to at least `n` nodes.
     pub fn grow_nodes(&mut self, n: usize) {
-        self.adj.grow(n);
+        self.adj.grow_rows(n);
     }
 
     /// The maintained trussness of edge `u -- v`, if present.
@@ -561,7 +561,7 @@ impl TrussMaintainer {
                     seed(&mut seeded, &mut seeds, f.0);
                 }
             });
-            let slot = self.adj.remove(u, v).expect("checked present").0;
+            let slot = self.adj.remove_sorted(u, v).expect("checked present").0;
             self.alive[slot as usize] = false;
             self.support[slot as usize] = 0;
             self.truss[slot as usize] = 0;
@@ -599,7 +599,7 @@ impl TrussMaintainer {
                     seed(&mut seeded, &mut seeds, f.0);
                 }
             });
-            self.adj.insert(u, v, EdgeId(slot));
+            self.adj.insert_sorted(u, v, EdgeId(slot));
             self.endpoints[slot as usize] = (u, v);
             self.alive[slot as usize] = true;
             self.support[slot as usize] = sup;

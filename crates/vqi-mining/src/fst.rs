@@ -131,7 +131,7 @@ fn occurrences(
         let (g, ix) = graphs[gi];
         let outcome = plan.enumerate(g, Some(ix), opts, |mapping| {
             for (p, &t) in mapping.iter().enumerate() {
-                for &(w, e) in ix.neighbors(t) {
+                for &(w, e) in g.neighbor_slice(t) {
                     if mapping.contains(&w) {
                         continue;
                     }
