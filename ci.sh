@@ -61,7 +61,7 @@ named_test -p vqi-core bitset
 # the shared selection engine against its full-recompute reference,
 # over both coverage universes (graph positions and edge ids)
 named_test -p vqi-core incremental_greedy_matches_reference
-named_test -p midas swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache
+named_test -p vqi-core swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache
 
 echo "== kernel consistency tests (indexed/bounded kernels vs naive) =="
 named_test -p vqi-graph indexed_matching_is_answer_identical_to_naive
@@ -70,7 +70,6 @@ named_test -p vqi-graph fingerprint_feasibility_is_necessary
 named_test -p vqi-graph bounded_fold_is_bit_identical_to_exact_fold
 named_test -p vqi-graph bounded_cached_folds_identically_and_keeps_entries_exact
 named_test -p vqi-core bound_and_skip_changes_no_selection
-named_test -p midas similarity_guard_matches_exact_path
 # the shared collection query sweep (fingerprint-filtered, indexed)
 # against a plain VF2 scan, with the service's and the wildcard options
 # (the test sweeps caps 1/2/4 itself), `vqi search` against a per-graph
@@ -90,7 +89,8 @@ echo "== thread-count invariance (parallel kernels vs sequential references) =="
 # the whole suite must produce bit-identical selections at any worker
 # count, so run the consistency tests twice with pinned defaults; the
 # occurrence-driven subtree miner is checked against its
-# generate-and-test oracle at both counts
+# generate-and-test oracle, and the shared swap refiner against its
+# per-pair reference loop, at both counts
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
     VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_counts_match_reference_across_thread_counts
@@ -99,6 +99,7 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_supports_and_trussness_match_reference_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p vqi-graph batch_canonicalization_matches_sequential_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p vqi-mining occurrence_miner_matches_generate_and_test_oracle
+    VQI_NUM_THREADS=$threads named_test -p vqi-core refiner_matches_the_reference_swap_loop
     VQI_NUM_THREADS=$threads named_test -p catapult selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p tattoo selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p midas maintenance_is_identical_across_thread_counts

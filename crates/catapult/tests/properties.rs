@@ -76,7 +76,7 @@ fn coverage_monotone_in_budget() {
         let large = Catapult::default().select(&repo, &PatternBudget::new(6, 4, 6));
         let cov = |set: &vqi_core::PatternSet| {
             let graphs: Vec<&vqi_graph::Graph> = set.graphs().collect();
-            vqi_core::score::set_coverage(&graphs, &repo)
+            vqi_core::score::evaluate_graphs(&graphs, &repo, Default::default()).coverage
         };
         assert!(cov(&large) >= cov(&small) - 1e-9, "case {case}");
     }

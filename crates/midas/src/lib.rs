@@ -19,11 +19,12 @@
 //!    off the index instead of being re-matched;
 //! 4. on a major modification, candidates are generated from the CSGs of
 //!    new and modified clusters and the pattern set is updated by a
-//!    **multi-scan swapping strategy** ([`swap`]) that only accepts swaps
-//!    with progressive coverage gain that don't sacrifice diversity or
-//!    cognitive load, using coverage-based pruning over two indices
-//!    (pattern → covered-graphs bitsets and graph → covering-pattern
-//!    counts).
+//!    **multi-scan swapping strategy** (the shared swap refiner
+//!    [`vqi_core::select::swap_refine`], over data-graph positions) that
+//!    only accepts swaps with progressive coverage gain that don't
+//!    sacrifice diversity or cognitive load, using coverage-based
+//!    pruning over two indices (pattern → covered-graphs bitsets and
+//!    graph → covering-pattern counts).
 //!
 //! The headline guarantee — the updated pattern set scores at least as
 //! well on the updated repository as the stale set would — is enforced by
@@ -34,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod maintain;
-pub mod swap;
 
 pub use maintain::{CensusMode, MaintenanceReport, Midas, MidasConfig, Modification};
 

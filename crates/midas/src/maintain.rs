@@ -1,6 +1,5 @@
 //! MIDAS state and the batch-maintenance procedure.
 
-use crate::swap::{multi_scan_swap, SwapCandidate, SwapStats};
 use catapult::candidates::{generate_candidates, WalkParams};
 use catapult::pipeline::{Catapult, CatapultConfig};
 use rand::rngs::SmallRng;
@@ -13,6 +12,7 @@ use vqi_core::ctrl::{run_stage, Budget, Degradation, PipelineOutcome};
 use vqi_core::pattern::PatternSet;
 use vqi_core::repo::{BatchUpdate, GraphCollection};
 use vqi_core::score::{coverage_bitsets, QualityWeights};
+use vqi_core::select::{swap_refine, SwapCandidate, SwapStats};
 use vqi_graph::graphlet::{
     count_graphlets_ctrl, euclidean_distance, GraphletCounts, GRAPHLET_CLASSES,
 };
@@ -24,7 +24,6 @@ use vqi_mining::features::cosine_distance;
 use vqi_mining::fst::MineParams;
 use vqi_runtime::error::panic_reason;
 use vqi_runtime::{fault, VqiError};
-use vqi_timeseries::TimeSeries;
 
 /// MIDAS configuration.
 #[derive(Debug, Clone, Copy)]
@@ -541,7 +540,8 @@ impl Midas {
                         let cut = self.drift_series.len() - w;
                         self.drift_series.drain(..cut);
                     }
-                    let windowed = TimeSeries::new(self.drift_series.clone()).tail_sum(w);
+                    let len = self.drift_series.len();
+                    let windowed: f64 = self.drift_series[len.saturating_sub(w)..].iter().sum();
                     let mode = if reused > 0 {
                         CensusMode::Delta
                     } else {
@@ -589,7 +589,6 @@ impl Midas {
         // swapping. A lost candidate stage degrades to an empty swap
         // pool, so the swap below becomes a no-op and the stale
         // patterns are kept.
-        let ids = self.collection.ids();
         let swap_cands = match run_stage(ctrl, "midas.candidates", || {
             fault::maybe_panic("midas.candidates", 0);
             let _s = vqi_observe::span("midas.candidates");
@@ -634,13 +633,14 @@ impl Midas {
         let stats: SwapStats = match gate {
             Ok(()) => {
                 let _s = vqi_observe::span("midas.swap");
-                multi_scan_swap(
+                swap_refine(
                     &mut self.patterns,
                     &mut self.pattern_bitsets,
                     swap_cands,
-                    ids.len(),
                     self.config.swap_scans,
                     self.config.weights,
+                    "midas.swap",
+                    "midas:swap",
                 )
             }
             Err(e) => {
@@ -648,10 +648,6 @@ impl Midas {
                 SwapStats::default()
             }
         };
-        vqi_observe::incr("midas.swap.accepted", stats.swaps as u64);
-        vqi_observe::incr("midas.swap.considered", stats.considered as u64);
-        vqi_observe::incr("midas.swap.pruned", stats.pruned as u64);
-        vqi_observe::incr("midas.swap.scans", stats.scans as u64);
 
         Ok(MaintenanceReport {
             modification: Modification::Major,

@@ -99,3 +99,38 @@ fn maintenance_guarantees() {
         }
     }
 }
+
+/// A removal that leaves three of the four patterns occurring nowhere:
+/// the swaps replace dead patterns with candidates similar to the live
+/// one, so diversity counted over the dead patterns would drop. The
+/// maintained set must still score at least as well as the stale one.
+#[test]
+fn quality_holds_when_a_removal_leaves_patterns_dead() {
+    let initial = aids_like(MoleculeParams {
+        count: 20,
+        seed: 133,
+        ..Default::default()
+    });
+    let mut m = Midas::bootstrap(
+        GraphCollection::new(initial),
+        PatternBudget::new(4, 4, 6),
+        MidasConfig::default(),
+    );
+    let stale = m.patterns.clone();
+    let report = m.apply_update(BatchUpdate::removing(vec![
+        0, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 15, 19,
+    ]));
+    assert!(report.swaps > 0);
+    let dead = |p: &Graph| pattern_coverage(p, &m.collection) == 0.0;
+    assert!(stale.graphs().filter(|p| dead(p)).count() > 1);
+    let repo = GraphRepository::Collection(m.collection.clone());
+    let w = Default::default();
+    let fresh_q = evaluate(&m.patterns, &repo, w);
+    let stale_q = evaluate(&stale, &repo, w);
+    assert!(
+        fresh_q.score >= stale_q.score - 1e-9,
+        "maintained {:.4} < stale {:.4}",
+        fresh_q.score,
+        stale_q.score
+    );
+}

@@ -18,9 +18,11 @@
 //!    from the touched region** — the induced subgraph within one hop of
 //!    any endpoint of a changed edge, split by local trussness — rather
 //!    than from the whole network;
-//! 4. a swap pass replaces existing patterns when that grows the
-//!    covered-edge union and strictly improves the pattern-set score, so
-//!    the maintained set never scores worse than the stale one.
+//! 4. the swap refiner MIDAS also uses
+//!    ([`vqi_core::select::swap_refine`], here over edge ids) replaces
+//!    existing patterns when that keeps the covered-edge union and
+//!    strictly improves the pattern-set score, so the maintained set
+//!    never scores worse than the stale one.
 
 use crate::candidates::{extract_from_region, ExtractParams};
 use crate::pipeline::TattooConfig;
@@ -30,6 +32,7 @@ use vqi_core::bitset::BitSet;
 use vqi_core::budget::PatternBudget;
 use vqi_core::pattern::PatternSet;
 use vqi_core::score::{edge_coverage_bitsets, set_score_bitsets, QualityWeights};
+use vqi_core::select::{swap_refine, SwapCandidate};
 use vqi_graph::graphlet::{euclidean_distance, CensusMaintainer, GRAPHLET_CLASSES};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::truss::{TrussDecomposition, TrussMaintainer};
@@ -277,70 +280,33 @@ impl NetworkMaintainer {
         cands.retain(|c| !self.patterns.contains_isomorphic(&c.graph));
         let n_cands = cands.len();
 
-        // 5. coverage of candidates over the WHOLE network, then swaps
+        // 5. coverage of candidates over the WHOLE network, then the
+        // shared swap refiner over edge ids
         let bits_per_cand =
             edge_coverage_bitsets(&cands, &self.network, &self.network_index, |c| &c.graph);
-        let scored: Vec<(Graph, BitSet)> = cands
+        let pool: Vec<SwapCandidate> = cands
             .into_iter()
             .zip(bits_per_cand)
-            .filter_map(|(c, bits)| bits.any().then_some((c.graph, bits)))
+            .filter(|(_, bits)| bits.any())
+            .map(|(c, coverage)| SwapCandidate {
+                graph: c.graph,
+                coverage,
+            })
             .collect();
-
-        let m = self.network.edge_count();
-        let w = self.config.weights;
-        let mut pool = scored;
-        let mut swaps = 0usize;
-        for _ in 0..self.config.swap_scans {
-            let graphs: Vec<&Graph> = self.patterns.graphs().collect();
-            let bit_refs_now: Vec<&BitSet> = self.bitsets.iter().collect();
-            let current = set_score_bitsets(&graphs, &bit_refs_now, m, w);
-            // partition edges into covered-once / covered-multiply so the
-            // progressive-coverage precheck is a popcount, not an O(m·k)
-            // union recount per (candidate, pattern) pair
-            let mut any = BitSet::new(m);
-            let mut multi = BitSet::new(m);
-            for b in &self.bitsets {
-                multi.or_and(&any, b);
-                any.union_with(b);
-            }
-            let once = any.and_not(&multi);
-            let sole: Vec<BitSet> = self.bitsets.iter().map(|b| b.and(&once)).collect();
-            let mut best: Option<(f64, usize, usize)> = None;
-            for (ci, (cg, cbits)) in pool.iter().enumerate() {
-                let gained = cbits.count_and_not(&any);
-                for pi in 0..self.bitsets.len() {
-                    // the union shrinks iff the candidate gains fewer
-                    // edges than it loses of pattern pi's sole coverage
-                    let lost = sole[pi].count_and_not(cbits);
-                    if gained < lost {
-                        continue;
-                    }
-                    let mut graphs2: Vec<&Graph> = self.patterns.graphs().collect();
-                    graphs2[pi] = cg;
-                    let mut bit_refs: Vec<&BitSet> = self.bitsets.iter().collect();
-                    bit_refs[pi] = cbits;
-                    let score = set_score_bitsets(&graphs2, &bit_refs, m, w);
-                    if score > current + 1e-12 && best.is_none_or(|(s, _, _)| score > s) {
-                        best = Some((score, ci, pi));
-                    }
-                }
-            }
-            match best {
-                Some((_, ci, pi)) => {
-                    let (cg, cbits) = pool.swap_remove(ci);
-                    if self.patterns.replace(pi, cg, "tattoo:maintain").is_ok() {
-                        self.bitsets[pi] = cbits;
-                        swaps += 1;
-                    }
-                }
-                None => break,
-            }
-        }
+        let stats = swap_refine(
+            &mut self.patterns,
+            &mut self.bitsets,
+            pool,
+            self.config.swap_scans,
+            self.config.weights,
+            "tattoo.maintain.swap",
+            "tattoo:maintain",
+        );
 
         NetworkMaintenanceReport {
             modification: NetworkModification::Major,
             churn,
-            swaps,
+            swaps: stats.swaps,
             candidates: n_cands,
             touched_nodes: region_nodes.len(),
             graphlet_drift,
@@ -353,7 +319,8 @@ impl NetworkMaintainer {
 mod tests {
     use super::*;
     use crate::Tattoo;
-    use vqi_core::score::set_coverage_network;
+    use vqi_core::repo::GraphRepository;
+    use vqi_core::score::evaluate_graphs;
     use vqi_datasets::dblp_like;
     use vqi_graph::Label;
 
@@ -572,7 +539,8 @@ mod tests {
         let batch = star_batch(&m, 7, 40);
         m.apply_batch(batch);
         let graphs: Vec<&Graph> = m.patterns.graphs().collect();
-        assert!(set_coverage_network(&graphs, &m.network) > 0.0);
+        let repo = GraphRepository::Network(m.network.clone());
+        assert!(evaluate_graphs(&graphs, &repo, QualityWeights::default()).coverage > 0.0);
     }
 
     #[test]

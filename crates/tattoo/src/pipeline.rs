@@ -213,7 +213,7 @@ fn disjoint_union(c: &GraphCollection) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vqi_core::score::{evaluate, set_coverage_network};
+    use vqi_core::score::{evaluate, evaluate_graphs};
     use vqi_graph::generate::{barabasi_albert, chain, cycle};
     use vqi_graph::traversal::is_connected;
 
@@ -233,7 +233,8 @@ mod tests {
         }
         // selected patterns must actually cover edges
         let graphs: Vec<&Graph> = set.graphs().collect();
-        assert!(set_coverage_network(&graphs, &net) > 0.0);
+        let q = evaluate_graphs(&graphs, &GraphRepository::Network(net), Default::default());
+        assert!(q.coverage > 0.0);
     }
 
     #[test]

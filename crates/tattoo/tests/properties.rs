@@ -6,7 +6,8 @@ use rand::{Rng, SeedableRng};
 use tattoo::topology::{classify, TopologyClass};
 use tattoo::{Tattoo, TattooConfig};
 use vqi_core::budget::PatternBudget;
-use vqi_core::score::set_coverage_network;
+use vqi_core::repo::GraphRepository;
+use vqi_core::score::evaluate_graphs;
 use vqi_datasets::{networks, NetworkParams};
 use vqi_graph::generate as gen;
 use vqi_graph::traversal::is_connected;
@@ -84,6 +85,7 @@ fn selection_contract() {
             assert!(is_connected(&p.graph), "case {case}");
         }
         let graphs: Vec<&Graph> = set.graphs().collect();
-        assert!(set_coverage_network(&graphs, &net) > 0.0, "case {case}");
+        let q = evaluate_graphs(&graphs, &GraphRepository::Network(net), Default::default());
+        assert!(q.coverage > 0.0, "case {case}");
     }
 }

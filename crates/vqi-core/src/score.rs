@@ -72,28 +72,53 @@ pub fn combined_score(
 }
 
 /// Full set score from pattern graphs and their coverage bitsets over
-/// `total` repository units (data graphs of a collection, or edges of a
-/// network). An empty repository or an empty pattern set scores 0 — the
-/// unified empty-repository convention (previously TATTOO divided by
-/// `total.max(1)` while its greedy loop returned early, giving empty
-/// repositories two different scores).
+/// `total` repository units: [`quality_bitsets`]'s score.
 pub fn set_score_bitsets(
     patterns: &[&Graph],
     bitsets: &[&BitSet],
     total: usize,
     w: QualityWeights,
 ) -> f64 {
-    if total == 0 || patterns.is_empty() {
-        return 0.0;
+    quality_bitsets(patterns, bitsets, total, w).score
+}
+
+/// Quality of pattern graphs from their coverage bitsets over `total`
+/// repository units (data graphs of a collection, or edges of a
+/// network). A pattern whose bitset is empty occurs nowhere and is
+/// scored as absent: it adds neither diversity nor cognitive load, so
+/// no diversity credit keeps it in a maintained set. The live patterns
+/// keep their order. An empty repository or a set with no live pattern
+/// scores 0 in every field — the unified empty-repository convention
+/// (previously TATTOO divided by `total.max(1)` while its greedy loop
+/// returned early, giving empty repositories two different scores).
+pub fn quality_bitsets(
+    patterns: &[&Graph],
+    bitsets: &[&BitSet],
+    total: usize,
+    w: QualityWeights,
+) -> QualityReport {
+    let live: Vec<&Graph> = patterns
+        .iter()
+        .zip(bitsets)
+        .filter(|(_, b)| b.any())
+        .map(|(&g, _)| g)
+        .collect();
+    if total == 0 || live.is_empty() {
+        return QualityReport::default();
     }
     let mut union = BitSet::new(total);
     for b in bitsets {
         union.union_with(b);
     }
     let coverage = union.count_ones() as f64 / total as f64;
-    let div = diversity(patterns);
-    let cl = patterns.iter().map(|g| cognitive_load(g)).sum::<f64>() / patterns.len() as f64;
-    combined_score(coverage, div, cl, w)
+    let div = diversity(&live);
+    let cl = mean_cognitive_load(live.iter().copied());
+    QualityReport {
+        coverage,
+        diversity: div,
+        cognitive_load: cl,
+        score: combined_score(coverage, div, cl, w),
+    }
 }
 
 /// Cognitive load of a single pattern, in `[0, 1]`.
@@ -208,44 +233,9 @@ pub fn pattern_coverage(p: &Graph, collection: &GraphCollection) -> f64 {
     hits as f64 / entries.len() as f64
 }
 
-/// Fraction of live collection graphs covered by at least one pattern.
-pub fn set_coverage_collection(patterns: &[&Graph], collection: &GraphCollection) -> f64 {
-    let entries = live_entries(collection);
-    if entries.is_empty() || patterns.is_empty() {
-        return 0.0;
-    }
-    let plans: Vec<PatternPlan> = patterns.iter().map(|p| PatternPlan::new(p)).collect();
-    let covered = par::map(&entries, |entry| {
-        plans.iter().any(|plan| plan_covers(plan, entry))
-    });
-    let hits = covered.iter().filter(|&&c| c).count();
-    hits as f64 / entries.len() as f64
-}
-
-/// Fraction of network edges touched by some embedding of some pattern.
-pub fn set_coverage_network(patterns: &[&Graph], network: &Graph) -> f64 {
-    if network.edge_count() == 0 || patterns.is_empty() {
-        return 0.0;
-    }
-    let idx = GraphIndex::build(network);
-    let mut covered = BitSet::new(network.edge_count());
-    for bits in edge_coverage_bitsets(patterns, network, &idx, |p| *p) {
-        covered.union_with(&bits);
-    }
-    covered.count_ones() as f64 / network.edge_count() as f64
-}
-
-/// Coverage of a pattern set against either repository kind.
-pub fn set_coverage(patterns: &[&Graph], repo: &GraphRepository) -> f64 {
-    match repo {
-        GraphRepository::Collection(c) => set_coverage_collection(patterns, c),
-        GraphRepository::Network(g) => set_coverage_network(patterns, g),
-    }
-}
-
 vqi_observe::json_record! {
     /// A full quality evaluation of a pattern set.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, Default)]
     pub struct QualityReport {
         /// Repository coverage in `[0, 1]`.
         pub coverage: f64,
@@ -268,7 +258,9 @@ pub fn evaluate(
     evaluate_graphs(&graphs, repo, weights)
 }
 
-/// Evaluates raw pattern graphs against `repo`.
+/// Evaluates raw pattern graphs against `repo`: their coverage
+/// bitsets (graph positions of a collection, edge ids of a network)
+/// scored by [`quality_bitsets`], the score every maintainer keeps.
 ///
 /// ```
 /// use vqi_core::repo::GraphRepository;
@@ -285,15 +277,16 @@ pub fn evaluate_graphs(
     repo: &GraphRepository,
     weights: QualityWeights,
 ) -> QualityReport {
-    let coverage = set_coverage(patterns, repo);
-    let div = diversity(patterns);
-    let cl = mean_cognitive_load(patterns.iter().copied());
-    QualityReport {
-        coverage,
-        diversity: div,
-        cognitive_load: cl,
-        score: combined_score(coverage, div, cl, weights),
-    }
+    let (bitsets, total) = match repo {
+        GraphRepository::Collection(c) => (coverage_bitsets(patterns, c, |p| *p), c.len()),
+        GraphRepository::Network(g) => {
+            let idx = GraphIndex::build(g);
+            let bitsets = edge_coverage_bitsets(patterns, g, &idx, |p| *p);
+            (bitsets, g.edge_count())
+        }
+    };
+    let refs: Vec<&BitSet> = bitsets.iter().collect();
+    quality_bitsets(patterns, &refs, total, weights)
 }
 
 #[cfg(test)]
@@ -355,17 +348,20 @@ mod tests {
         let col = collection();
         let edge1 = chain(2, 1, 0);
         let tri2 = cycle(3, 2, 0);
-        let both = [&edge1, &tri2];
-        assert!((set_coverage_collection(&both, &col) - 1.0).abs() < 1e-12);
-        assert_eq!(set_coverage_collection(&[], &col), 0.0);
+        let repo = GraphRepository::Collection(col);
+        let coverage =
+            |ps: &[&Graph]| evaluate_graphs(ps, &repo, QualityWeights::default()).coverage;
+        assert!((coverage(&[&edge1, &tri2]) - 1.0).abs() < 1e-12);
+        assert_eq!(coverage(&[]), 0.0);
     }
 
     #[test]
     fn wildcard_basic_patterns_cover_everything() {
-        let col = collection();
+        let repo = GraphRepository::Collection(collection());
         let basics = crate::pattern::default_basic_patterns();
         let graphs: Vec<&Graph> = basics.graphs().collect();
-        assert!((set_coverage_collection(&graphs, &col) - 1.0).abs() < 1e-12);
+        let q = evaluate_graphs(&graphs, &repo, QualityWeights::default());
+        assert!((q.coverage - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -378,7 +374,8 @@ mod tests {
         g.add_edge(a, b, 0);
         let tri = cycle(3, 1, 0);
         // triangles cover the 6 clique edges out of 8
-        let cov = set_coverage_network(&[&tri], &g);
+        let repo = GraphRepository::Network(g);
+        let cov = evaluate_graphs(&[&tri], &repo, QualityWeights::default()).coverage;
         assert!((cov - 6.0 / 8.0).abs() < 1e-12, "got {cov}");
     }
 
@@ -422,6 +419,36 @@ mod tests {
         assert!(r.cognitive_load > 0.0);
         let expected = r.coverage + w.diversity * r.diversity - w.cognitive * r.cognitive_load;
         assert!((r.score - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dead_patterns_score_as_absent() {
+        let (a, b, dead) = (chain(4, 1, 0), star(3, 2, 0), cycle(5, 3, 0));
+        let (bits_a, bits_b) = (
+            BitSet::from_bools(&[true, true, false, false]),
+            BitSet::from_bools(&[false, true, true, false]),
+        );
+        let none = BitSet::new(4);
+        let w = QualityWeights::default();
+        let live = set_score_bitsets(&[&a, &b], &[&bits_a, &bits_b], 4, w);
+        let with_dead = set_score_bitsets(&[&a, &dead, &b], &[&bits_a, &none, &bits_b], 4, w);
+        assert_eq!(with_dead.to_bits(), live.to_bits());
+        assert_eq!(set_score_bitsets(&[&dead], &[&none], 4, w), 0.0);
+    }
+
+    #[test]
+    fn evaluate_scores_dead_patterns_as_absent_in_both_universes() {
+        // label 9 occurs in no graph, so `dead` covers nothing
+        let (a, b, dead) = (chain(3, 1, 0), clique(3, 2, 0), cycle(4, 9, 0));
+        let w = QualityWeights::default();
+        let network = GraphRepository::Network(chain(6, 1, 0));
+        for repo in [GraphRepository::Collection(collection()), network] {
+            let live = evaluate_graphs(&[&a, &b], &repo, w);
+            let with_dead = evaluate_graphs(&[&a, &dead, &b], &repo, w);
+            assert_eq!(with_dead.score.to_bits(), live.score.to_bits());
+            assert_eq!(with_dead.diversity.to_bits(), live.diversity.to_bits());
+            assert_eq!(evaluate_graphs(&[&dead], &repo, w).score, 0.0);
+        }
     }
 
     #[test]

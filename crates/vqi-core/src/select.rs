@@ -1,9 +1,13 @@
-//! The one anytime greedy selection loop every canned-pattern pipeline
-//! ends in (paper §2.3: swappable front stages feeding one common final
-//! selection).
+//! The two loops every canned-pattern pipeline and maintainer shares:
+//! [`anytime_greedy`] builds a pattern set (paper §2.3: swappable front
+//! stages feeding one common final selection), and [`swap_refine`]
+//! maintains one (§2.4 MIDAS, §2.5 the TATTOO network maintainer).
+//! Both run over a coverage universe `U` — data-graph positions for a
+//! collection (CATAPULT, the modular pipeline, AURORA, MIDAS) or edge
+//! ids for a network (TATTOO and its maintainer).
 //!
-//! Each round scores every remaining candidate against the selected
-//! set `S`:
+//! **The greedy loop.** Each round scores every remaining candidate
+//! against the selected set `S`:
 //!
 //! ```text
 //! score(p | S) = |cov(p) \ cov(S)| / |U|
@@ -11,11 +15,9 @@
 //!              − w_cog · cl(p)
 //! ```
 //!
-//! where `U` is the coverage universe — data-graph positions for a
-//! collection (CATAPULT, the modular pipeline, AURORA) or edge ids for
-//! a network (TATTOO). The best candidate is selected until the budget
-//! count is reached, no candidate remains, or the best candidate
-//! scores non-positively and covers nothing new.
+//! The best candidate is selected until the budget count is reached,
+//! no candidate remains, or the best candidate scores non-positively
+//! and covers nothing new.
 //!
 //! A caller supplies the candidates through [`ScoredPattern`] (coverage
 //! bitset, graph, canonical code, cognitive load, provenance), the
@@ -36,12 +38,28 @@
 //! below it otherwise, so `max(m, ·)` is unchanged. Scores are computed
 //! per candidate and the argmax scans them in candidate order under
 //! `total_cmp`, so the selection does not depend on the thread count.
+//!
+//! **The swap refiner.** Each scan tries to replace one current
+//! pattern with one fresh [`SwapCandidate`]. A swap is accepted only if
+//!
+//! 1. the covered union does **not shrink** (progressive coverage), and
+//! 2. the set score ([`set_score_bitsets`], the score
+//!    [`evaluate`](crate::score::evaluate) reports) strictly improves.
+//!
+//! Among accepted swaps a scan takes the best-scoring one, except that
+//! replacing a pattern which covers nothing beats replacing a live one.
+//! Candidates isomorphic to a current pattern are dropped up front, and
+//! a candidate covering fewer units than the weakest pattern's sole
+//! coverage is pruned: it would shrink the union in every slot. The
+//! once/multiply-covered partition and the per-pattern sole coverage
+//! are word-parallel [`BitSet`] algebra. The stage name keys the
+//! `<stage>.{accepted,considered,pruned,scans}` counters.
 
 use crate::bitset::BitSet;
 use crate::budget::PatternBudget;
 use crate::ctrl::{Budget, Degradation};
 use crate::pattern::{PatternKind, PatternSet};
-use crate::score::{cognitive_load, combined_score, QualityWeights};
+use crate::score::{cognitive_load, combined_score, set_score_bitsets, QualityWeights};
 use vqi_graph::cache::mcs_similarity_cached_bounded;
 use vqi_graph::canon::CanonicalCode;
 use vqi_graph::par;
@@ -216,6 +234,142 @@ pub fn anytime_greedy<C: ScoredPattern>(
     Ok(set)
 }
 
+/// A fresh candidate for [`swap_refine`].
+#[derive(Debug, Clone)]
+pub struct SwapCandidate {
+    /// Candidate pattern graph.
+    pub graph: Graph,
+    /// Covered units of the universe (graph positions or edge ids).
+    pub coverage: BitSet,
+}
+
+/// Outcome counters of one [`swap_refine`] pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SwapStats {
+    /// Accepted swaps.
+    pub swaps: usize,
+    /// Candidates considered (those not isomorphic to a pattern).
+    pub considered: usize,
+    /// Candidates eliminated by the sole-coverage bound, summed over
+    /// scans.
+    pub pruned: usize,
+    /// Scans executed.
+    pub scans: usize,
+}
+
+/// Runs up to `scans` swap scans over `patterns` and their coverage
+/// `bitsets` (aligned, all over the same universe) with the given
+/// candidates — the **swap refiner**. Mutates both in place so they
+/// stay aligned; a replacing candidate is recorded with `provenance`.
+/// Stops early when a scan accepts no swap or the best swap cannot be
+/// applied. Emits `<stage>.accepted`, `<stage>.considered`,
+/// `<stage>.pruned` and `<stage>.scans`.
+pub fn swap_refine(
+    patterns: &mut PatternSet,
+    bitsets: &mut [BitSet],
+    mut candidates: Vec<SwapCandidate>,
+    scans: usize,
+    weights: QualityWeights,
+    stage: &str,
+    provenance: &str,
+) -> SwapStats {
+    let mut stats = SwapStats::default();
+    let universe = bitsets.first().map_or(0, BitSet::len);
+    if universe > 0 && !patterns.is_empty() {
+        candidates.retain(|c| !patterns.contains_isomorphic(&c.graph));
+        stats.considered = candidates.len();
+        for _ in 0..scans {
+            stats.scans += 1;
+            let Some((ci, pi)) = best_swap(
+                patterns,
+                bitsets,
+                &candidates,
+                universe,
+                weights,
+                &mut stats.pruned,
+            ) else {
+                break;
+            };
+            let cand = candidates.swap_remove(ci);
+            if patterns.replace(pi, cand.graph, provenance).is_err() {
+                break;
+            }
+            bitsets[pi] = cand.coverage;
+            stats.swaps += 1;
+        }
+    }
+    for (name, n) in [
+        ("accepted", stats.swaps),
+        ("considered", stats.considered),
+        ("pruned", stats.pruned),
+        ("scans", stats.scans),
+    ] {
+        vqi_observe::incr(&format!("{stage}.{name}"), n as u64);
+    }
+    stats
+}
+
+/// One scan of [`swap_refine`]: the accepted `(candidate, pattern)`
+/// swap with the best `(dead, score)` key, first in candidate-major
+/// order among ties, or `None` if no swap is accepted.
+fn best_swap(
+    patterns: &PatternSet,
+    bitsets: &[BitSet],
+    candidates: &[SwapCandidate],
+    universe: usize,
+    weights: QualityWeights,
+    pruned: &mut usize,
+) -> Option<(usize, usize)> {
+    // partition the universe by how many patterns cover each unit:
+    // `any` = at least once, `multi` = at least twice, `once` = exactly
+    // once — all in O(words · patterns)
+    let mut any = BitSet::new(universe);
+    let mut multi = BitSet::new(universe);
+    for b in bitsets {
+        multi.or_and(&any, b);
+        any.union_with(b);
+    }
+    let once = any.and_not(&multi);
+    // sole[pi] = units only pattern pi covers
+    let sole: Vec<BitSet> = bitsets.iter().map(|b| b.and(&once)).collect();
+    let min_sole = sole.iter().map(BitSet::count_ones).min().unwrap_or(0);
+    let dead: Vec<bool> = bitsets.iter().map(|b| !b.any()).collect();
+
+    // one pair of reference vectors per scan: each pair puts the
+    // candidate into slot pi, scores, and puts the pattern back
+    let mut graphs: Vec<&Graph> = patterns.graphs().collect();
+    let mut bit_refs: Vec<&BitSet> = bitsets.iter().collect();
+    let current = set_score_bitsets(&graphs, &bit_refs, universe, weights);
+
+    let mut best: Option<((bool, f64), usize, usize)> = None;
+    for (ci, cand) in candidates.iter().enumerate() {
+        // this candidate cannot restore even the weakest pattern's sole
+        // coverage, so every swap would shrink the union
+        if cand.coverage.count_ones() < min_sole {
+            *pruned += 1;
+            continue;
+        }
+        // units newly covered by the candidate, whichever slot it takes
+        let gained = cand.coverage.count_and_not(&any);
+        for pi in 0..bitsets.len() {
+            // the union shrinks iff the candidate gains fewer units than
+            // it loses of pattern pi's sole coverage
+            if gained < sole[pi].count_and_not(&cand.coverage) {
+                continue;
+            }
+            let old_graph = std::mem::replace(&mut graphs[pi], &cand.graph);
+            let old_bits = std::mem::replace(&mut bit_refs[pi], &cand.coverage);
+            let score = set_score_bitsets(&graphs, &bit_refs, universe, weights);
+            (graphs[pi], bit_refs[pi]) = (old_graph, old_bits);
+            let key = (dead[pi], score);
+            if score > current + 1e-12 && best.is_none_or(|(k, _, _)| key > k) {
+                best = Some((key, ci, pi));
+            }
+        }
+    }
+    best.map(|(_, ci, pi)| (ci, pi))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,9 +410,10 @@ mod tests {
         ]
     }
 
-    /// Both coverage universes: positions of the live graphs of a
-    /// collection, and edge ids of a network (K4 plus a pendant 4-path).
-    fn universes() -> Vec<(Vec<Scored>, usize)> {
+    /// Coverage of [`patterns`] in both universes: positions of the
+    /// live graphs of a collection, and edge ids of a network (K4 plus
+    /// a pendant 4-path). Returns each universe's bitsets and size.
+    fn coverages() -> Vec<(Vec<BitSet>, usize)> {
         let col = GraphCollection::new(vec![
             chain(6, 1, 0),
             chain(5, 1, 0),
@@ -279,21 +434,25 @@ mod tests {
             prev = v;
         }
         let by_edge = edge_coverage_bitsets(&graphs, &net, &GraphIndex::build(&net), |g| g);
+        vec![(by_position, col.len()), (by_edge, net.edge_count())]
+    }
 
-        let keep = |bitsets: Vec<BitSet>| -> Vec<Scored> {
-            let cands: Vec<Scored> = patterns()
-                .into_iter()
-                .zip(bitsets)
-                .filter(|(_, b)| b.any())
-                .map(|(g, b)| cand(g, b))
-                .collect();
-            assert!(cands.len() >= 4, "universe too small to exercise rounds");
-            cands
-        };
-        vec![
-            (keep(by_position), col.len()),
-            (keep(by_edge), net.edge_count()),
-        ]
+    /// Both universes as greedy candidates: the patterns that cover
+    /// something, with their coverage.
+    fn universes() -> Vec<(Vec<Scored>, usize)> {
+        coverages()
+            .into_iter()
+            .map(|(bitsets, universe)| {
+                let cands: Vec<Scored> = patterns()
+                    .into_iter()
+                    .zip(bitsets)
+                    .filter(|(_, b)| b.any())
+                    .map(|(g, b)| cand(g, b))
+                    .collect();
+                assert!(cands.len() >= 4, "universe too small to exercise rounds");
+                (cands, universe)
+            })
+            .collect()
     }
 
     /// The pre-incremental loop: recomputes every candidate's max
@@ -537,5 +696,367 @@ mod tests {
         assert_eq!(counters["test.keyed.iterations"], 3);
         assert_eq!(counters["test.keyed.selected"], 3);
         assert!(counters["test.keyed.sim_calls"] > 0);
+    }
+
+    fn swap_set(graphs: Vec<Graph>) -> PatternSet {
+        let mut set = PatternSet::new();
+        for g in graphs {
+            set.insert(g, PatternKind::Canned, "init").unwrap();
+        }
+        set
+    }
+
+    fn swap_cand(graph: Graph, bits: &[bool]) -> SwapCandidate {
+        SwapCandidate {
+            graph,
+            coverage: BitSet::from_bools(bits),
+        }
+    }
+
+    /// Runs the refiner under the test stage name.
+    fn refine(
+        set: &mut PatternSet,
+        bitsets: &mut [BitSet],
+        cands: Vec<SwapCandidate>,
+        scans: usize,
+        w: QualityWeights,
+    ) -> SwapStats {
+        swap_refine(set, bitsets, cands, scans, w, "test.swap", "test:swap")
+    }
+
+    /// The swap loop MIDAS ran before the refiner was shared: it
+    /// rebuilds the reference vectors for every (candidate, pattern)
+    /// pair. The refiner must match it pattern for pattern, bitset for
+    /// bitset, counter for counter.
+    fn reference_swap(
+        patterns: &mut PatternSet,
+        pattern_bitsets: &mut [BitSet],
+        mut candidates: Vec<SwapCandidate>,
+        n_graphs: usize,
+        scans: usize,
+        weights: QualityWeights,
+    ) -> SwapStats {
+        let mut stats = SwapStats::default();
+        if n_graphs == 0 || patterns.is_empty() {
+            return stats;
+        }
+        candidates.retain(|c| !patterns.contains_isomorphic(&c.graph));
+        stats.considered = candidates.len();
+        for _ in 0..scans {
+            stats.scans += 1;
+            let mut improved = false;
+            let mut any = BitSet::new(n_graphs);
+            let mut multi = BitSet::new(n_graphs);
+            for b in pattern_bitsets.iter() {
+                multi.or_and(&any, b);
+                any.union_with(b);
+            }
+            let once = any.and_not(&multi);
+            let sole: Vec<BitSet> = pattern_bitsets.iter().map(|b| b.and(&once)).collect();
+            let min_sole = sole.iter().map(BitSet::count_ones).min().unwrap_or(0);
+            let dead: Vec<bool> = pattern_bitsets.iter().map(|b| !b.any()).collect();
+            let current_score = {
+                let graphs: Vec<&Graph> = patterns.graphs().collect();
+                let bitsets: Vec<&BitSet> = pattern_bitsets.iter().collect();
+                set_score_bitsets(&graphs, &bitsets, n_graphs, weights)
+            };
+            let mut best: Option<((bool, f64), usize, usize)> = None;
+            for (ci, cand) in candidates.iter().enumerate() {
+                let cand_cov = cand.coverage.count_ones();
+                if cand_cov < min_sole {
+                    stats.pruned += 1;
+                    continue;
+                }
+                let gained = cand.coverage.count_and_not(&any);
+                for pi in 0..pattern_bitsets.len() {
+                    let lost = sole[pi].count_and_not(&cand.coverage);
+                    if gained < lost {
+                        continue;
+                    }
+                    let mut graphs: Vec<&Graph> = patterns.graphs().collect();
+                    graphs[pi] = &cand.graph;
+                    let mut bit_refs: Vec<&BitSet> = pattern_bitsets.iter().collect();
+                    bit_refs[pi] = &cand.coverage;
+                    let new_score = set_score_bitsets(&graphs, &bit_refs, n_graphs, weights);
+                    let key = (dead[pi], new_score);
+                    if new_score > current_score + 1e-12 && best.is_none_or(|(k, _, _)| key > k) {
+                        best = Some((key, ci, pi));
+                    }
+                }
+            }
+            if let Some((_, ci, pi)) = best {
+                let cand = candidates.swap_remove(ci);
+                if patterns
+                    .replace(pi, cand.graph.clone(), "test:swap")
+                    .is_ok()
+                {
+                    pattern_bitsets[pi] = cand.coverage;
+                    stats.swaps += 1;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn accepts_strictly_better_swap() {
+        // pattern A covers 1 of 4 graphs; candidate covers 3 of 4
+        let mut set = swap_set(vec![chain(4, 1, 0)]);
+        let mut bitsets = vec![BitSet::from_bools(&[true, false, false, false])];
+        let cand = swap_cand(star(3, 2, 0), &[true, true, true, false]);
+        let stats = refine(
+            &mut set,
+            &mut bitsets,
+            vec![cand],
+            3,
+            QualityWeights::default(),
+        );
+        assert_eq!(stats.swaps, 1);
+        assert!(set.contains_isomorphic(&star(3, 2, 0)));
+        assert_eq!(bitsets[0], BitSet::from_bools(&[true, true, true, false]));
+    }
+
+    #[test]
+    fn rejects_coverage_shrinking_swap() {
+        let mut set = swap_set(vec![chain(4, 1, 0)]);
+        let mut bitsets = vec![BitSet::from_bools(&[true, true, false, false])];
+        // candidate is more "diverse" but halves coverage
+        let cand = swap_cand(cycle(4, 3, 0), &[true, false, false, false]);
+        let w = QualityWeights {
+            diversity: 10.0, // even huge diversity weight cannot force it
+            cognitive: 0.0,
+        };
+        let stats = refine(&mut set, &mut bitsets, vec![cand], 3, w);
+        assert_eq!(stats.swaps, 0);
+        assert!(set.contains_isomorphic(&chain(4, 1, 0)));
+    }
+
+    #[test]
+    fn pruning_skips_hopeless_candidates() {
+        let mut set = swap_set(vec![chain(4, 1, 0)]);
+        let mut bitsets = vec![BitSet::from_bools(&[true, true, true, true])];
+        let cand = swap_cand(cycle(4, 3, 0), &[false, false, false, false]);
+        let stats = refine(
+            &mut set,
+            &mut bitsets,
+            vec![cand],
+            3,
+            QualityWeights::default(),
+        );
+        assert_eq!(stats.swaps, 0);
+        assert!(
+            stats.pruned >= 1,
+            "zero-coverage candidate should be pruned"
+        );
+    }
+
+    #[test]
+    fn isomorphic_candidates_are_ignored() {
+        let mut set = swap_set(vec![chain(4, 1, 0)]);
+        let mut bitsets = vec![BitSet::from_bools(&[true, false])];
+        let cand = swap_cand(chain(4, 1, 0), &[true, true]);
+        let stats = refine(
+            &mut set,
+            &mut bitsets,
+            vec![cand],
+            3,
+            QualityWeights::default(),
+        );
+        assert_eq!(stats.considered, 0);
+        assert_eq!(stats.swaps, 0);
+    }
+
+    /// Two patterns and two candidates that each improve one slot.
+    fn two_improving_swaps() -> (PatternSet, Vec<BitSet>, Vec<SwapCandidate>) {
+        let set = swap_set(vec![chain(4, 1, 0), chain(5, 1, 0)]);
+        let bitsets = vec![
+            BitSet::from_bools(&[true, false, false, false]),
+            BitSet::from_bools(&[true, false, false, false]),
+        ];
+        let cands = vec![
+            swap_cand(star(3, 2, 0), &[true, true, false, false]),
+            swap_cand(cycle(4, 3, 0), &[false, false, true, true]),
+        ];
+        (set, bitsets, cands)
+    }
+
+    #[test]
+    fn multiple_scans_chain_improvements() {
+        let (mut set, mut bitsets, cands) = two_improving_swaps();
+        let stats = refine(&mut set, &mut bitsets, cands, 5, QualityWeights::default());
+        assert_eq!(stats.swaps, 2, "both improving swaps should land");
+        assert!(stats.scans >= 2);
+    }
+
+    #[test]
+    fn swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache() {
+        let build = || {
+            let (mut set, mut bitsets, cands) = two_improving_swaps();
+            let stats = refine(&mut set, &mut bitsets, cands, 5, QualityWeights::default());
+            (set, bitsets, stats)
+        };
+        // the first run computes every MCS term, the second replays
+        // them from the memo the first run filled
+        vqi_graph::cache::clear();
+        let (set_cold, bits_cold, stats_cold) = build();
+        let (set_warm, bits_warm, stats_warm) = build();
+        assert_eq!(stats_cold, stats_warm);
+        assert_eq!(bits_cold, bits_warm);
+        assert!(set_cold == set_warm);
+    }
+
+    #[test]
+    fn a_dead_pattern_is_replaced_even_when_diversity_drops() {
+        // A covers graphs 0..3; D (labels A never uses) covers nothing;
+        // C, a near copy of A, covers the two graphs A misses
+        let (a, d, c) = (chain(5, 1, 0), chain(2, 7, 0), chain(4, 1, 0));
+        let mut set = swap_set(vec![a.clone(), d.clone()]);
+        let mut bitsets = vec![
+            BitSet::from_bools(&[true, true, true, false, false]),
+            BitSet::new(5),
+        ];
+        let cand = swap_cand(c.clone(), &[false, false, false, true, true]);
+        let w = QualityWeights::default();
+        // were D counted in diversity and cognitive load, the swap
+        // would lose: D's full diversity outweighs C's gain
+        let with_dead = |q: &Graph, coverage: f64| {
+            let div = crate::score::diversity(&[&a, q]);
+            let cl = crate::score::mean_cognitive_load([&a, q]);
+            combined_score(coverage, div, cl, w)
+        };
+        assert!(with_dead(&c, 1.0) <= with_dead(&d, 0.6) + 1e-12);
+        let stats = refine(&mut set, &mut bitsets, vec![cand], 3, w);
+        assert_eq!(stats.swaps, 1, "the dead pattern stayed");
+        assert!(set.contains_isomorphic(&c) && !set.contains_isomorphic(&d));
+        assert_eq!(
+            bitsets[1],
+            BitSet::from_bools(&[false, false, false, true, true])
+        );
+    }
+
+    #[test]
+    fn refiner_matches_the_reference_swap_loop() {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let _guard = lock();
+        let graphs = patterns();
+        let mut totals = SwapStats::default();
+        let mut dead_replaced = 0;
+        for (u, (coverage, universe)) in coverages().into_iter().enumerate() {
+            for seed in 1..=12u64 {
+                let ctx = format!("universe {u} seed {seed}");
+                let mut rng = SmallRng::seed_from_u64(seed * 31 + u as u64);
+                // a random subset of each graph's true coverage
+                let thin = |b: &BitSet, rng: &mut SmallRng| {
+                    let mut out = BitSet::new(universe);
+                    for i in b.ones().filter(|_| rng.gen_bool(0.7)) {
+                        out.set(i);
+                    }
+                    out
+                };
+                let mut order: Vec<usize> = (0..graphs.len()).collect();
+                order.shuffle(&mut rng);
+                let k = 2 + seed as usize % 3;
+                let mut set = PatternSet::new();
+                let mut bitsets = Vec::new();
+                for &i in &order[..k] {
+                    set.insert(graphs[i].clone(), PatternKind::Canned, "init")
+                        .unwrap();
+                    bitsets.push(thin(&coverage[i], &mut rng));
+                }
+                // one pattern left occurring nowhere, on two seeds in three
+                let dead_slot = seed as usize % k;
+                if seed % 3 != 0 {
+                    bitsets[dead_slot] = BitSet::new(universe);
+                }
+                let mut cands: Vec<SwapCandidate> = order[k..]
+                    .iter()
+                    .map(|&i| SwapCandidate {
+                        graph: graphs[i].clone(),
+                        coverage: thin(&coverage[i], &mut rng),
+                    })
+                    .collect();
+                // a duplicate candidate, one isomorphic to a current
+                // pattern, and one covering nothing
+                let dup = cands[0].clone();
+                cands.push(SwapCandidate {
+                    coverage: coverage[order[k]].clone(),
+                    ..dup
+                });
+                cands.push(SwapCandidate {
+                    graph: graphs[order[0]].clone(),
+                    coverage: coverage[order[0]].clone(),
+                });
+                cands.push(SwapCandidate {
+                    graph: graphs[order[k + 1]].clone(),
+                    coverage: BitSet::new(universe),
+                });
+                // every fourth seed, a disconnected candidate covering
+                // everything: the best swap, which `replace` refuses
+                if seed % 4 == 0 {
+                    let mut split = chain(2, 1, 0);
+                    let (x, y) = (split.add_node(1), split.add_node(1));
+                    split.add_edge(x, y, 0);
+                    let mut all = BitSet::new(universe);
+                    (0..universe).for_each(|i| all.set(i));
+                    cands.push(SwapCandidate {
+                        graph: split,
+                        coverage: all,
+                    });
+                }
+                cands.shuffle(&mut rng);
+                let w = if seed % 2 == 0 {
+                    QualityWeights::default()
+                } else {
+                    QualityWeights {
+                        diversity: 1.5,
+                        cognitive: 0.25,
+                    }
+                };
+
+                let (mut want_set, mut want_bits) = (set.clone(), bitsets.clone());
+                let want =
+                    reference_swap(&mut want_set, &mut want_bits, cands.clone(), universe, 4, w);
+                let got = refine(&mut set, &mut bitsets, cands, 4, w);
+                assert_eq!(got, want, "{ctx}: stats");
+                assert_eq!(bitsets, want_bits, "{ctx}: bitsets");
+                assert!(set == want_set, "{ctx}: patterns");
+                if seed % 3 != 0 {
+                    dead_replaced += usize::from(bitsets[dead_slot].any());
+                }
+                totals.swaps += got.swaps;
+                totals.pruned += got.pruned;
+            }
+        }
+        assert!(totals.swaps > 0 && totals.pruned > 0, "{totals:?}");
+        assert!(dead_replaced > 0, "no dead pattern was replaced");
+    }
+
+    #[test]
+    fn stage_name_keys_the_swap_counters() {
+        let _guard = lock();
+        let (mut set, mut bitsets, cands) = two_improving_swaps();
+        vqi_observe::set_enabled(true);
+        let w = QualityWeights::default();
+        let stats = swap_refine(
+            &mut set,
+            &mut bitsets,
+            cands,
+            5,
+            w,
+            "test.keyed.swap",
+            "test:swap",
+        );
+        let counters = vqi_observe::snapshot().counters;
+        vqi_observe::set_enabled(false);
+        assert_eq!(counters["test.keyed.swap.accepted"], stats.swaps as u64);
+        assert_eq!(counters["test.keyed.swap.considered"], 2);
+        assert_eq!(counters["test.keyed.swap.pruned"], stats.pruned as u64);
+        assert_eq!(counters["test.keyed.swap.scans"], stats.scans as u64);
     }
 }

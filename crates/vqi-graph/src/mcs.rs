@@ -276,45 +276,6 @@ pub fn mcs_similarity_bounded(a: &Graph, b: &Graph, min_useful: f64) -> f64 {
     mcs_similarity_bounded_detail(a, b, min_useful).0
 }
 
-/// True iff `mcs_similarity(a, b) >= threshold`, decided without
-/// computing the exact value: the fingerprint bound rejects cheap cases
-/// and a seeded branch-and-bound (incumbent = required edge count − 1)
-/// decides the rest. Agrees with the naive comparison on every input.
-pub fn mcs_similarity_at_least(a: &Graph, b: &Graph, threshold: f64) -> bool {
-    if threshold <= 0.0 {
-        // naive: any similarity (including 0.0) passes
-        return true;
-    }
-    let denom = a.edge_count().max(b.edge_count());
-    if denom == 0 {
-        return false; // naive compares 0.0 >= threshold with threshold > 0
-    }
-    // smallest k with k/denom >= threshold under f64 division
-    let mut required = (threshold * denom as f64).ceil() as usize;
-    while required > 0 && (required - 1) as f64 / denom as f64 >= threshold {
-        required -= 1;
-    }
-    while required <= denom && (required as f64 / denom as f64) < threshold {
-        required += 1;
-    }
-    if required == 0 {
-        return true;
-    }
-    if required > denom {
-        return false; // threshold above 1.0: unreachable
-    }
-    let ub = mcs_edge_upper_bound(&Fingerprint::of(a), &Fingerprint::of(b));
-    if ub < required {
-        vqi_observe::incr("kernel.mcs.skip_fingerprint", 1);
-        return false;
-    }
-    let best = mcs_edge_count_seeded(a, b, DEFAULT_MCS_BUDGET, required - 1);
-    if best < required {
-        vqi_observe::incr("kernel.mcs.pruned", 1);
-    }
-    best >= required
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,26 +393,6 @@ mod tests {
                     } else {
                         assert!(bounded <= m, "skip must stay below threshold ({i},{j})");
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn at_least_matches_naive_comparison() {
-        let graphs: Vec<Graph> = (0..8u64)
-            .map(|i| random_graph(5 + (i as usize) % 3, 0.5, 2, 2, 70 + i))
-            .chain([chain(3, 0, 0), cycle(4, 0, 0), Graph::new()])
-            .collect();
-        for a in &graphs {
-            for b in &graphs {
-                let exact = mcs_similarity(a, b);
-                for t in [-0.5, 0.0, 0.2, exact, exact + 1e-9, 0.75, 1.0, 1.5] {
-                    assert_eq!(
-                        mcs_similarity_at_least(a, b, t),
-                        exact >= t,
-                        "threshold {t} exact {exact}"
-                    );
                 }
             }
         }
