@@ -114,7 +114,12 @@ echo "== incremental consistency suite (delta kernels vs from-scratch) =="
 # re-verify against their own from-scratch paths; the in-place graph
 # edit plus the patched index must equal a rebuild plus a fresh index
 # build (16 seeds of edge-case batches), and the network maintainer its
-# old rebuild path; MIDAS's FCT index must
+# old rebuild path; the closed-form star coverage must equal an
+# uncapped VF2 enumeration (12 hub-heavy seeds, some of which the capped
+# search truncates), and the network maintainer's per-batch coverage
+# patch a from-scratch `edge_coverage_bitsets` after every batch (12
+# seeds of minor and major batches with node appends, hub endpoints and
+# a wildcard label entering the network); MIDAS's FCT index must
 # hand out the exact VF2 feature vector of every live graph after every
 # batch (12 seeds, with removals, tombstones and a skipped FCT stage)
 for threads in 1 4; do
@@ -125,6 +130,8 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p tattoo incremental_kernels_and_caches_track_mutations
     VQI_NUM_THREADS=$threads named_test -p vqi-graph --test properties in_place_edit_and_patched_index_equal_a_rebuild
     VQI_NUM_THREADS=$threads named_test -p tattoo in_place_maintenance_equals_the_rebuild_oracle
+    VQI_NUM_THREADS=$threads named_test -p vqi-core star_coverage_equals_uncapped_enumeration
+    VQI_NUM_THREADS=$threads named_test -p tattoo patched_coverage_equals_a_fresh_recompute_after_every_batch
     VQI_NUM_THREADS=$threads named_test -p midas cached_census_matches_full_recompute
     VQI_NUM_THREADS=$threads named_test -p midas windowed_drift_escalates_sub_threshold_batches
     VQI_NUM_THREADS=$threads named_test -p midas fct_vectors_
@@ -133,13 +140,16 @@ done
 echo "== storage-equivalence suite (heap vs CSR backends, bit-identical) =="
 # every large-network kernel must produce the same bits on the heap
 # Graph and the packed CsrGraph: the vqi-graph property tests sweep 12
-# seeds at caps 1/2/4 (trussness + census), the tattoo test does the
-# same for the sharded selection, and the image round trip must
+# seeds at caps 1/2/4 (trussness + census), the tattoo tests do the
+# same for the sharded selection and check the sharded coverage on both
+# backends (equal to whole-network `edge_coverage_bitsets` wherever that
+# is exact), and the image round trip must
 # preserve the digest — run the suite at one and four workers
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
     VQI_NUM_THREADS=$threads named_test -p vqi-graph storage_
     VQI_NUM_THREADS=$threads named_test -p tattoo sharded_selection_matches_heap_backend
+    VQI_NUM_THREADS=$threads named_test -p tattoo whole_network_scoring_equals_edge_coverage_bitsets
 done
 
 echo "== fault-injection suite (each test sweeps seeds 1 and 2 internally) =="

@@ -11,9 +11,18 @@
 //!    nodes and edges, and [`GraphIndex::patch`] moves the network's
 //!    index by the same edit, so the work follows the batch and the
 //!    result equals a rebuild of network and index from scratch;
-//! 2. the *churn rate* (changed edges / current edges) plays the role of
-//!    MIDAS's GFD drift: below the threshold the modification is minor
-//!    and only the coverage bitsets are refreshed;
+//! 2. the coverage bitsets follow the edit. A star pattern (exact
+//!    labels; see [`vqi_graph::star`]) keeps a node bitset of the nodes
+//!    that can host its centre. Per batch its coverage bitset is
+//!    compacted through the removed edge ids and grown by the added
+//!    ones; the centre flag of every touched node is recomputed from
+//!    its row; and only the edges incident to touched nodes (the added
+//!    ones among them) are re-decided. No other edge's coverage can
+//!    change. Any other pattern is recomputed over the whole network
+//!    with [`edge_coverage_bitsets`]. Either way the bitsets equal a
+//!    from-scratch [`edge_coverage_bitsets`]. The *churn rate* (changed
+//!    edges / current edges) plays the role of MIDAS's GFD drift: below
+//!    the threshold the modification is minor and the patterns stay;
 //! 3. on a major modification, fresh candidates are extracted **only
 //!    from the touched region** — the induced subgraph within one hop of
 //!    any endpoint of a changed edge, split by local trussness — rather
@@ -31,19 +40,20 @@ use rand::SeedableRng;
 use vqi_core::bitset::BitSet;
 use vqi_core::budget::PatternBudget;
 use vqi_core::pattern::PatternSet;
-use vqi_core::score::{edge_coverage_bitsets, set_score_bitsets, QualityWeights};
+use vqi_core::score::{coverage_star, edge_coverage_bitsets, set_score_bitsets, QualityWeights};
 use vqi_core::select::{swap_refine, SwapCandidate};
 use vqi_graph::graphlet::{euclidean_distance, CensusMaintainer, GRAPHLET_CLASSES};
 use vqi_graph::index::GraphIndex;
+use vqi_graph::star::{RowTypes, Star};
 use vqi_graph::truss::{TrussDecomposition, TrussMaintainer};
-use vqi_graph::{EdgeDelta, Graph, NodeId};
+use vqi_graph::{EdgeDelta, Graph, GraphEdit, NodeId};
 
 pub use vqi_graph::EdgeBatch;
 
 /// Kind of modification a batch caused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkModification {
-    /// Churn below threshold: bitsets refreshed, patterns kept.
+    /// Churn below threshold: coverage follows the edit, patterns kept.
     Minor,
     /// Churn at/above threshold: localized candidate extraction + swaps.
     Major,
@@ -103,6 +113,16 @@ impl Default for MaintainConfig {
     }
 }
 
+/// How the maintainer keeps one pattern's covered-edge bitset current.
+#[derive(Debug)]
+enum Upkeep {
+    /// A star with the closed form: which nodes can host its centre,
+    /// patched per batch with the coverage itself.
+    Star { star: Star, centres: BitSet },
+    /// Any other pattern: recomputed over the whole network per batch.
+    Search,
+}
+
 /// The network maintainer: owns the evolving network and the maintained
 /// pattern set.
 pub struct NetworkMaintainer {
@@ -114,6 +134,9 @@ pub struct NetworkMaintainer {
     pub patterns: PatternSet,
     /// Covered-edge bitsets per pattern, over the current network.
     bitsets: Vec<BitSet>,
+    /// How each pattern's bitset follows a batch, aligned with
+    /// `bitsets`.
+    upkeep: Vec<Upkeep>,
     /// Label index over the current network, patched with every edit
     /// so every coverage match goes through the indexed kernel.
     network_index: GraphIndex,
@@ -136,19 +159,113 @@ impl NetworkMaintainer {
         config: MaintainConfig,
     ) -> Self {
         let network_index = GraphIndex::build(&network);
-        let bitsets =
-            edge_coverage_bitsets(patterns.patterns(), &network, &network_index, |p| &p.graph);
         let truss = TrussMaintainer::new(&network);
         let census = CensusMaintainer::new(&network);
-        NetworkMaintainer {
+        let mut m = NetworkMaintainer {
             config,
             budget,
             network,
             patterns,
-            bitsets,
+            bitsets: Vec::new(),
+            upkeep: Vec::new(),
             network_index,
             truss,
             census,
+        };
+        m.refresh_coverage();
+        m
+    }
+
+    /// Computes every coverage bitset and upkeep from scratch.
+    fn refresh_coverage(&mut self) {
+        self.bitsets = edge_coverage_bitsets(
+            self.patterns.patterns(),
+            &self.network,
+            &self.network_index,
+            |p| &p.graph,
+        );
+        self.refresh_upkeep();
+    }
+
+    /// Re-derives every pattern's upkeep on the current network, routed
+    /// by the rule [`edge_coverage_bitsets`] uses.
+    fn refresh_upkeep(&mut self) {
+        let net = &self.network;
+        let stars: Vec<Option<Star>> = self
+            .patterns
+            .patterns()
+            .iter()
+            .map(|p| coverage_star(&p.graph, &self.network_index))
+            .collect();
+        let rows = stars.iter().any(Option::is_some).then(|| RowTypes::of(net));
+        self.upkeep = stars
+            .into_iter()
+            .map(|star| match (star, &rows) {
+                (Some(star), Some(rows)) => {
+                    let mut centres = BitSet::new(net.node_count());
+                    for x in star.centres(net, rows) {
+                        centres.set(x.index());
+                    }
+                    Upkeep::Star { star, centres }
+                }
+                _ => Upkeep::Search,
+            })
+            .collect();
+    }
+
+    /// Step 2 of the module docs: moves every coverage bitset by
+    /// `edit`, which the network and its index have already absorbed.
+    fn patch_coverage(&mut self, edit: &GraphEdit) {
+        // a wildcard label entering or leaving the network re-routes
+        // stars between the closed form and the search
+        let rerouted = self
+            .patterns
+            .patterns()
+            .iter()
+            .zip(&self.upkeep)
+            .any(|(p, u)| {
+                matches!(u, Upkeep::Star { .. })
+                    != coverage_star(&p.graph, &self.network_index).is_some()
+            });
+        if rerouted {
+            self.refresh_coverage();
+            return;
+        }
+        let net = &self.network;
+        let removed: Vec<usize> = edit.removed_ids.iter().map(|e| e.index()).collect();
+        let mut searched = Vec::new();
+        for (k, (bits, upkeep)) in self.bitsets.iter_mut().zip(&mut self.upkeep).enumerate() {
+            let Upkeep::Star { star, centres } = upkeep else {
+                searched.push(k);
+                continue;
+            };
+            bits.compact(&removed);
+            bits.grow(net.edge_count());
+            centres.grow(net.node_count());
+            for &(v, _) in &edit.touched {
+                if star.is_centre(net, v) {
+                    centres.set(v.index());
+                } else {
+                    centres.clear(v.index());
+                }
+            }
+            for &(v, _) in &edit.touched {
+                for &(_, e) in net.neighbor_slice(v) {
+                    if star.covers(net, e, |x| centres.get(x.index())) {
+                        bits.set(e.index());
+                    } else {
+                        bits.clear(e.index());
+                    }
+                }
+            }
+        }
+        if !searched.is_empty() {
+            let patterns = self.patterns.patterns();
+            let graphs: Vec<&Graph> = searched.iter().map(|&k| &patterns[k].graph).collect();
+            let fresh = edge_coverage_bitsets(&graphs, net, &self.network_index, |g| *g);
+            for (k, bits) in searched.into_iter().zip(fresh) {
+                self.bitsets[k] = bits;
+            }
         }
     }
 
@@ -179,6 +296,8 @@ impl NetworkMaintainer {
         // kernels see
         let edit = self.network.apply_batch(&batch);
         self.network_index.patch(&self.network, &edit);
+        // 2. the coverage follows the edit
+        self.patch_coverage(&edit);
         let touched: Vec<NodeId> = edit.touched.iter().map(|&(v, _)| v).collect();
         self.maintain(churn, &edit.delta, &touched)
     }
@@ -189,9 +308,9 @@ impl NetworkMaintainer {
         changed as f64 / self.network.edge_count().max(1) as f64
     }
 
-    /// Everything after the edit: the kernels absorb `delta`, the
-    /// coverage is refreshed, and a major batch extracts candidates
-    /// around `touched` (the changed endpoints, ascending) and swaps.
+    /// Everything after the edit and the coverage patch: the kernels
+    /// absorb `delta`, and a major batch extracts candidates around
+    /// `touched` (the changed endpoints, ascending) and swaps.
     fn maintain(
         &mut self,
         churn: f64,
@@ -207,14 +326,6 @@ impl NetworkMaintainer {
         let truss_stats = self.truss.apply(delta);
         self.census.apply(delta);
         let graphlet_drift = euclidean_distance(&gfd_before, &self.census.distribution());
-
-        // 2. bitsets must reflect the new network in either case
-        self.bitsets = edge_coverage_bitsets(
-            self.patterns.patterns(),
-            &self.network,
-            &self.network_index,
-            |p| &p.graph,
-        );
 
         if churn < self.config.churn_threshold || touched.is_empty() {
             return NetworkMaintenanceReport {
@@ -302,6 +413,9 @@ impl NetworkMaintainer {
             "tattoo.maintain.swap",
             "tattoo:maintain",
         );
+        if stats.swaps > 0 {
+            self.refresh_upkeep();
+        }
 
         NetworkMaintenanceReport {
             modification: NetworkModification::Major,
@@ -326,8 +440,9 @@ mod tests {
 
     /// The rebuild `apply_batch` used before it edited in place: a
     /// fresh copy of the network without the removed edges and with the
-    /// additions, and a fresh index of it. Kept as the oracle the
-    /// in-place edit must equal.
+    /// additions, a fresh index of it, and coverage computed from
+    /// scratch. Kept as the oracle the in-place edit and the coverage
+    /// patch must equal.
     fn apply_by_rebuild(m: &mut NetworkMaintainer, batch: EdgeBatch) -> NetworkMaintenanceReport {
         let churn = m.churn_of(&batch);
         let removals: std::collections::HashSet<(u32, u32)> = batch
@@ -362,6 +477,7 @@ mod tests {
         }
         m.network = next;
         m.network_index = GraphIndex::build(&m.network);
+        m.refresh_coverage();
         touched.sort_unstable();
         touched.dedup();
         m.maintain(churn, &delta, &touched)
@@ -434,6 +550,155 @@ mod tests {
                 "seed {seed}: {minor} minor, {major} major"
             );
         }
+    }
+
+    /// The node of largest degree (the lowest id among ties).
+    fn hub_of(net: &Graph) -> NodeId {
+        let top = net.nodes().map(|v| net.degree(v)).max().unwrap_or(0);
+        net.nodes()
+            .find(|&v| net.degree(v) == top)
+            .unwrap_or(NodeId(0))
+    }
+
+    /// A star around `x` on `k` of its row's edges (every `step`-th).
+    fn star_at(net: &Graph, x: NodeId, k: usize, step: usize) -> Graph {
+        let mut p = Graph::new();
+        let c = p.add_node(net.node_label(x));
+        for &(y, e) in net.neighbor_slice(x).iter().step_by(step).take(k) {
+            let leaf = p.add_node(net.node_label(y));
+            p.add_edge(c, leaf, net.edge_label(e));
+        }
+        p
+    }
+
+    /// Stars read off the hub's row and a small node's (1 to 3 leaves),
+    /// plus a 3-edge chain and a triangle: both coverage routes.
+    fn mixed_patterns(net: &Graph, seed: u64) -> PatternSet {
+        let hub = hub_of(net);
+        let small = NodeId((seed * 7 % net.node_count() as u64) as u32);
+        let (l, el) = (net.node_label(hub), 0);
+        let mut set = PatternSet::new();
+        for g in [
+            star_at(net, hub, 3, 2),
+            star_at(net, hub, 2, 1),
+            star_at(net, small, 1, 1),
+            vqi_graph::generate::chain(4, l, el),
+            vqi_graph::generate::cycle(3, l, el),
+        ] {
+            // a repeated shape is skipped
+            let _ = set.insert(g, vqi_core::pattern::PatternKind::Canned, "test");
+        }
+        set
+    }
+
+    /// A batch wiring the hub: `removals` live edges out (every other
+    /// one incident to the hub), `additions` pairs in (every other one
+    /// at the hub), and from round 2 on an appended node on the hub,
+    /// a wildcard-labelled one at round 5 of every third seed.
+    fn hub_batch(
+        net: &Graph,
+        removals: usize,
+        additions: usize,
+        wildcard: bool,
+        rng: &mut SmallRng,
+    ) -> EdgeBatch {
+        use rand::Rng;
+        let hub = hub_of(net);
+        let (n, m) = (net.node_count() as u32, net.edge_count() as u32);
+        let mut batch = EdgeBatch::default();
+        for i in 0..removals {
+            let row = net.neighbor_slice(hub);
+            let (u, v) = if i % 2 == 0 && !row.is_empty() {
+                (hub, row[rng.gen_range(0..row.len())].0)
+            } else {
+                net.endpoints(vqi_graph::EdgeId(rng.gen_range(0..m)))
+            };
+            batch.edge_removals.push((u.0, v.0));
+        }
+        let appended = if wildcard {
+            batch.node_additions.push(vqi_graph::WILDCARD_LABEL);
+            batch.edge_additions.push((n, hub.0, 0));
+            1
+        } else if removals > 0 {
+            batch.node_additions.push(net.node_label(hub));
+            batch.edge_additions.push((n, hub.0, rng.gen_range(0..2)));
+            1
+        } else {
+            0
+        };
+        for i in 0..additions {
+            let v = rng.gen_range(0..n + appended);
+            let u = if i % 2 == 0 {
+                hub.0
+            } else {
+                rng.gen_range(0..n + appended)
+            };
+            batch.edge_additions.push((u, v, rng.gen_range(0..2)));
+        }
+        batch
+    }
+
+    #[test]
+    fn patched_coverage_equals_a_fresh_recompute_after_every_batch() {
+        let _guard = crate::fault_test_lock();
+        let (mut minor, mut major, mut patched, mut searched) = (0, 0, 0, 0);
+        for seed in 1..=12u64 {
+            let net = dblp_like(160, seed);
+            let patterns = mixed_patterns(&net, seed);
+            let budget = PatternBudget::new(5, 3, 5);
+            let mut m = NetworkMaintainer::new(net, patterns, budget, MaintainConfig::default());
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for round in 0..8 {
+                let ctx = format!("seed {seed} batch {round}");
+                let edges = m.network.edge_count();
+                // every third batch churns past the major threshold; the
+                // first is empty
+                let changed = match round {
+                    0 => 0,
+                    r if r % 3 == 2 => edges / 20,
+                    _ => 4,
+                };
+                let wildcard = seed % 3 == 0 && round == 5;
+                let batch = hub_batch(
+                    &m.network,
+                    changed / 2,
+                    changed - changed / 2,
+                    wildcard,
+                    &mut rng,
+                );
+                match m.apply_batch(batch).modification {
+                    NetworkModification::Minor => minor += 1,
+                    NetworkModification::Major => major += 1,
+                }
+                let idx = GraphIndex::build(&m.network);
+                let fresh =
+                    edge_coverage_bitsets(m.patterns.patterns(), &m.network, &idx, |p| &p.graph);
+                assert_eq!(m.bitsets, fresh, "{ctx}: coverage");
+                for (p, upkeep) in m.patterns.patterns().iter().zip(&m.upkeep) {
+                    match upkeep {
+                        Upkeep::Star { star, centres } => {
+                            assert_eq!(coverage_star(&p.graph, &idx).as_ref(), Some(star));
+                            let rows = RowTypes::of(&m.network);
+                            let want: Vec<NodeId> = star.centres(&m.network, &rows).collect();
+                            let got: Vec<NodeId> =
+                                centres.ones().map(|v| NodeId(v as u32)).collect();
+                            assert_eq!(got, want, "{ctx}: centres of pattern {}", p.id.0);
+                            assert_eq!(centres.len(), m.network.node_count(), "{ctx}");
+                            patched += 1;
+                        }
+                        Upkeep::Search => {
+                            assert!(coverage_star(&p.graph, &idx).is_none(), "{ctx}");
+                            searched += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(minor > 0 && major > 0, "{minor} minor, {major} major");
+        assert!(
+            patched > 0 && searched > 0,
+            "{patched} patched, {searched} searched"
+        );
     }
 
     fn bootstrap(nodes: usize, seed: u64) -> NetworkMaintainer {

@@ -18,10 +18,11 @@
 //!   the `tattoo.shard` prefix, followed by a global dedup by canonical
 //!   code in shard order. The sampling budget is divided across shards,
 //!   so the total extraction work matches whole-graph TATTOO's;
-//! * the **score** phase computes each candidate's covered edges. With
+//! * the **score** phase computes each candidate's covered edges with
+//!   [`edge_coverage_bitsets`], the entry point whole-network TATTOO
+//!   scores with (exact for stars, a capped search otherwise). With
 //!   `score_shards == parts` (the default) it matches against the whole
-//!   network, so edges that join two shards count and the coverage is
-//!   exact. With fewer, it materializes only the leading
+//!   network, so edges that join two shards count. With fewer, it materializes only the leading
 //!   `score_shards` shards (with local→global edge maps) — a
 //!   conservative approximation that bounds scoring cost on huge
 //!   networks, since the greedy still normalizes by the *full* edge
@@ -46,10 +47,9 @@ use vqi_core::bitset::BitSet;
 use vqi_core::budget::PatternBudget;
 use vqi_core::ctrl::{Budget, Degradation, PipelineOutcome};
 use vqi_core::pattern::PatternSet;
-use vqi_core::score::{cognitive_load, coverage_match_options};
+use vqi_core::score::{cognitive_load, edge_coverage_bitsets};
 use vqi_graph::index::GraphIndex;
-use vqi_graph::iso::PatternPlan;
-use vqi_graph::par::{self, ShardExecutor};
+use vqi_graph::par::ShardExecutor;
 use vqi_graph::storage::{induced_subgraph_of, induced_subgraph_with_edges, GraphStorage};
 use vqi_graph::truss::decompose;
 use vqi_graph::{EdgeId, NodeId};
@@ -64,7 +64,7 @@ pub struct ShardedTattoo {
     pub parts: usize,
     /// How many leading shards the coverage scoring materializes. Equal
     /// to `parts` (the default) to score against the whole network,
-    /// which is exact; smaller for a conservative approximation that
+    /// cross-shard edges included; smaller for a conservative approximation that
     /// bounds scoring cost on huge networks.
     pub score_shards: usize,
     /// Retries per panicked shard before it is dropped from the run.
@@ -75,7 +75,7 @@ pub struct ShardedTattoo {
 }
 
 impl ShardedTattoo {
-    /// A sharded selector with `parts` shards, exact coverage
+    /// A sharded selector with `parts` shards, whole-network coverage
     /// (`score_shards == parts`), and the default retry policy (one
     /// retry, 5 ms base backoff).
     pub fn new(config: TattooConfig, parts: usize) -> Self {
@@ -210,8 +210,9 @@ impl ShardedTattoo {
     }
 
     /// Score phase body: each scored range is materialized with its
-    /// local→global edge map and matched through one [`GraphIndex`];
-    /// the global-edge results are ORed into one bitset per candidate in
+    /// local→global edge map and scored by [`edge_coverage_bitsets`]
+    /// through one [`GraphIndex`], so stars are exact here as in
+    /// whole-network TATTOO; the global-edge results are ORed into one bitset per candidate in
     /// range order. A dropped range loses only its own slice of coverage
     /// and is recorded in `deg`.
     fn score_ctrl<S: GraphStorage + ?Sized>(
@@ -230,20 +231,14 @@ impl ShardedTattoo {
             return Ok(Vec::new());
         }
         let ranges = self.score_ranges(g);
-        let plans: Vec<PatternPlan> = candidates
-            .iter()
-            .map(|c| PatternPlan::new(&c.graph))
-            .collect();
         let per_range = self.executor().run_shards(ranges.len(), |ri| {
             let nodes: Vec<NodeId> = ranges[ri].clone().map(NodeId).collect();
             let (sub, _, edge_map) = induced_subgraph_with_edges(g, &nodes);
             let idx = GraphIndex::build(&sub);
-            par::map(&plans, |plan| {
-                plan.covered_edges(&sub, Some(&idx), coverage_match_options())
-                    .into_iter()
-                    .map(|e| edge_map[e.index()])
-                    .collect::<Vec<EdgeId>>()
-            })
+            edge_coverage_bitsets(&candidates, &sub, &idx, |c| &c.graph)
+                .into_iter()
+                .map(|bits| bits.ones().map(|e| edge_map[e]).collect::<Vec<EdgeId>>())
+                .collect::<Vec<_>>()
         });
         let mut covered: Vec<Vec<EdgeId>> = vec![Vec::new(); candidates.len()];
         for range in per_range {
@@ -332,9 +327,11 @@ mod tests {
     use crate::topology::classify;
     use crate::Tattoo;
     use vqi_core::repo::GraphRepository;
+    use vqi_core::score::{coverage_match_options, coverage_star};
     use vqi_core::score::{evaluate, QualityWeights};
     use vqi_datasets::dblp_like;
     use vqi_graph::canon::canonical_code;
+    use vqi_graph::iso::PatternPlan;
     use vqi_graph::storage::CsrGraph;
     use vqi_graph::traversal::is_connected;
     use vqi_graph::Graph;
@@ -444,6 +441,51 @@ mod tests {
         // the leading-shards approximation never sees the cut edge
         let approx = sel.with_score_shards(1).score_over_shards(&net, vec![cand]);
         assert!(approx.is_empty());
+    }
+
+    #[test]
+    fn whole_network_scoring_equals_edge_coverage_bitsets() {
+        let _guard = crate::fault_test_lock();
+        let (mut stars, mut compared) = (0, 0);
+        for seed in 1..=3u64 {
+            let net = dblp_like(250, seed);
+            let csr = CsrGraph::from_graph(&net);
+            let budget = PatternBudget::new(5, 3, 6);
+            let sel = ShardedTattoo::new(TattooConfig::default(), 4);
+            let cands = sel.map_candidates(&net, &budget);
+            let idx = GraphIndex::build(&net);
+            let want = edge_coverage_bitsets(&cands, &net, &idx, |c| &c.graph);
+            let heap = sel.score_over_shards(&net, cands.clone());
+            let packed = sel.score_over_shards(&csr, cands.clone());
+            let mut scored = heap.iter().zip(&packed);
+            for (c, want) in cands.iter().zip(want) {
+                if !want.any() {
+                    continue;
+                }
+                let (h, p) = scored.next().expect("a scored candidate per covering one");
+                assert!(h.candidate.code == c.code && p.candidate.code == c.code);
+                // a capped search that stops early reports a prefix that
+                // depends on the materialized range's edge order, so
+                // only exact coverage must match bit for bit
+                let star = coverage_star(&c.graph, &idx).is_some();
+                let plan = PatternPlan::new(&c.graph);
+                if star
+                    || plan
+                        .enumerate(&net, Some(&idx), coverage_match_options(), |_| true)
+                        .complete
+                {
+                    assert_eq!(h.covered, want, "seed {seed}: heap");
+                    assert_eq!(p.covered, want, "seed {seed}: CSR");
+                    stars += usize::from(star);
+                    compared += 1;
+                }
+            }
+            assert!(
+                scored.next().is_none(),
+                "seed {seed}: extra scored candidates"
+            );
+        }
+        assert!(stars > 0 && compared > stars, "{stars} stars of {compared}");
     }
 
     #[test]

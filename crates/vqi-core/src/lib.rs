@@ -52,3 +52,12 @@ pub use pattern::{Pattern, PatternId, PatternKind, PatternSet};
 pub use repo::{BatchUpdate, GraphRepository};
 pub use selector::PatternSelector;
 pub use vqi::VisualQueryInterface;
+
+/// Serializes the tests that flip process-global state (the `par`
+/// thread cap, metric recording) or read global counters.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -8,6 +8,13 @@
 //!   repository as possible. For collections we measure the fraction of
 //!   data graphs covered by at least one pattern; for networks the
 //!   fraction of edges touched by some embedding of some pattern.
+//!   Network coverage is exact for stars (every 1- and 2-edge pattern
+//!   is one), which have a closed form ([`vqi_graph::star`]). Every
+//!   other pattern, and a star when the pattern or the network carries
+//!   a wildcard label, is matched by VF2 under
+//!   [`coverage_match_options`]' caps; on a hub-heavy network such a
+//!   search can stop early and then reports only the edges of the
+//!   embeddings it reached first (counted as `kernel.iso.truncated`).
 //! * **diversity** — patterns should be structurally diverse:
 //!   `div(P) = 1 − mean pairwise MCS similarity`.
 //! * **cognitive load** — a per-pattern effort estimate that grows with
@@ -27,6 +34,7 @@ use vqi_graph::canon::{canonical_code, CanonicalCode};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::{is_subgraph_isomorphic, MatchOptions, PatternPlan};
 use vqi_graph::par;
+use vqi_graph::star::{RowTypes, Star};
 use vqi_graph::Graph;
 
 /// Matching options used for coverage: non-induced, wildcard-aware (basic
@@ -201,20 +209,51 @@ pub fn coverage_bitsets<T: Sync>(
     })
 }
 
+/// The closed form that decides `pattern`'s edge coverage on the
+/// network `idx` indexes, if it has one: an exact-label star on a
+/// network without wildcard labels. [`edge_coverage_bitsets`] and the
+/// TATTOO network maintainer route patterns by this one rule.
+pub fn coverage_star(pattern: &Graph, idx: &GraphIndex) -> Option<Star> {
+    if idx.fingerprint().has_wildcard() {
+        return None;
+    }
+    Star::of(pattern)
+}
+
 /// Covered-edge bitsets of `patterns` over `network`: bit `e` of
 /// `out[k]` is set iff some embedding of `patterns[k]` uses edge `e`.
-/// `idx` must be built from this exact `network`; it serves every
-/// pattern's enumeration.
+/// This is exact for the patterns [`coverage_star`] accepts (stars,
+/// decided in O(V + E) with no search). Any other pattern is matched
+/// by VF2 under [`coverage_match_options`], whose caps can stop the
+/// search early: the bitset then holds the edges of the embeddings
+/// visited first, a prefix of the answer, and `kernel.iso.truncated`
+/// counts the cut. `idx` must be built from this exact `network`; it
+/// serves every search.
 pub fn edge_coverage_bitsets<T: Sync>(
     patterns: &[T],
     network: &Graph,
     idx: &GraphIndex,
     pattern: impl Fn(&T) -> &Graph + Sync,
 ) -> Vec<BitSet> {
-    par::map(patterns, |item| {
+    let jobs: Vec<(&Graph, Option<Star>)> = patterns
+        .iter()
+        .map(|item| {
+            let p = pattern(item);
+            (p, coverage_star(p, idx))
+        })
+        .collect();
+    // the stars share one read of every row's neighbour types
+    let rows = jobs
+        .iter()
+        .any(|(_, star)| star.is_some())
+        .then(|| RowTypes::of(network));
+    par::map(&jobs, |(p, star)| {
+        let covered = match (star, &rows) {
+            (Some(star), Some(rows)) => star.covered_edges(network, rows),
+            _ => PatternPlan::new(p).covered_edges(network, Some(idx), coverage_match_options()),
+        };
         let mut bits = BitSet::new(network.edge_count());
-        let plan = PatternPlan::new(pattern(item));
-        for e in plan.covered_edges(network, Some(idx), coverage_match_options()) {
+        for e in covered {
             bits.set(e.index());
         }
         bits
@@ -294,6 +333,7 @@ mod tests {
     use super::*;
     use crate::pattern::PatternKind;
     use vqi_graph::generate::{chain, clique, cycle, star};
+    use vqi_graph::iso::MatchOptions;
 
     fn collection() -> GraphCollection {
         GraphCollection::new(vec![
@@ -402,6 +442,142 @@ mod tests {
         }
         // the star of an absent label covers nothing
         assert!(!bits[3].any());
+    }
+
+    /// A network whose first `hubs` nodes (label 0) hold dense rows of
+    /// edge label 0 over a sparse, mostly label-0 background: 3-leaf
+    /// stars have tens of thousands of embeddings per hub.
+    fn hub_network(seed: u64, hubs: u32) -> Graph {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let rng = &mut SmallRng::seed_from_u64(seed);
+        let n = 90u32;
+        let mut g = Graph::new();
+        for v in 0..n {
+            let l = if v < hubs || rng.gen_bool(0.7) {
+                0
+            } else {
+                rng.gen_range(1..3)
+            };
+            g.add_node(l);
+        }
+        let node = |v: u32| vqi_graph::NodeId(v);
+        for _ in 0..2 * n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            g.add_edge(node(u), node(v), rng.gen_range(0..2));
+        }
+        for h in 0..hubs {
+            for _ in 0..45 {
+                g.add_edge(node(h), node(rng.gen_range(0..n)), 0);
+            }
+        }
+        g
+    }
+
+    /// Stars read off `g`: up to 3 leaves drawn from the row of a hub or
+    /// of a random node, plus the all-label-0 3-leaf star.
+    fn sampled_stars(g: &Graph, seed: u64, hubs: u32) -> Vec<Graph> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let rng = &mut SmallRng::seed_from_u64(seed ^ 0x5A);
+        let mut stars = vec![star(3, 0, 0)];
+        while stars.len() < 8 {
+            let x = if rng.gen_bool(0.5) {
+                vqi_graph::NodeId(rng.gen_range(0..hubs))
+            } else {
+                vqi_graph::NodeId(rng.gen_range(0..g.node_count() as u32))
+            };
+            let row = g.neighbor_slice(x);
+            let k = rng.gen_range(1..=3usize);
+            if row.len() < k {
+                continue;
+            }
+            let mut p = Graph::new();
+            let c = p.add_node(g.node_label(x));
+            let mut picked = Vec::new();
+            while picked.len() < k {
+                let i = rng.gen_range(0..row.len());
+                if !picked.contains(&i) {
+                    picked.push(i);
+                    let (y, e) = row[i];
+                    let leaf = p.add_node(g.node_label(y));
+                    p.add_edge(c, leaf, g.edge_label(e));
+                }
+            }
+            stars.push(p);
+        }
+        stars
+    }
+
+    #[test]
+    fn star_coverage_equals_uncapped_enumeration() {
+        let uncapped = MatchOptions {
+            max_embeddings: usize::MAX,
+            max_states: u64::MAX,
+            ..coverage_match_options()
+        };
+        let (mut cases, mut truncated) = (0, 0);
+        for seed in 0..12u64 {
+            let hubs = 1 + (seed % 3) as u32;
+            let g = hub_network(seed, hubs);
+            let idx = GraphIndex::build(&g);
+            let stars = sampled_stars(&g, seed, hubs);
+            let bits = edge_coverage_bitsets(&stars, &g, &idx, |p| p);
+            for (p, b) in stars.iter().zip(&bits) {
+                let ctx = format!("seed {seed}, star of {} edges", p.edge_count());
+                assert!(coverage_star(p, &idx).is_some(), "{ctx}");
+                let want = vqi_graph::iso::covered_edges(p, &g, uncapped);
+                let got: Vec<usize> = b.ones().collect();
+                assert_eq!(
+                    got,
+                    want.iter().map(|e| e.index()).collect::<Vec<_>>(),
+                    "{ctx}"
+                );
+                let capped =
+                    PatternPlan::new(p)
+                        .enumerate(&g, Some(&idx), coverage_match_options(), |_| true);
+                cases += 1;
+                truncated += usize::from(!capped.complete);
+            }
+        }
+        // the capped search stops early on some of these stars: the
+        // closed form is what makes them exact
+        assert!(truncated > 0, "no capped search truncated in {cases} cases");
+        // a wildcard label on either side sends a star to the search
+        let mut wild = hub_network(1, 1);
+        wild.add_node(vqi_graph::WILDCARD_LABEL);
+        assert!(coverage_star(&star(2, 0, 0), &GraphIndex::build(&wild)).is_none());
+        let idx = GraphIndex::build(&hub_network(1, 1));
+        assert!(coverage_star(&star(2, vqi_graph::WILDCARD_LABEL, 0), &idx).is_none());
+    }
+
+    #[test]
+    fn a_capped_chain_search_counts_its_truncation() {
+        let _guard = crate::test_lock();
+        // a hub of 150 leaves, each with a pendant: 44 700 embeddings of
+        // the 3-edge chain run through the hub, past the 10 000 cap
+        let mut g = star(150, 1, 0);
+        for leaf in 1..=150 {
+            let pendant = g.add_node(1);
+            g.add_edge(vqi_graph::NodeId(leaf), pendant, 0);
+        }
+        let idx = GraphIndex::build(&g);
+        let chain3 = chain(4, 1, 0);
+        assert!(coverage_star(&chain3, &idx).is_none());
+        let truncations = || {
+            vqi_observe::snapshot()
+                .counters
+                .get("kernel.iso.truncated")
+                .copied()
+                .unwrap_or(0)
+        };
+        vqi_observe::set_enabled(true);
+        let before = truncations();
+        let bits = edge_coverage_bitsets(&[&chain3], &g, &idx, |p| *p);
+        let after = truncations();
+        vqi_observe::set_enabled(false);
+        assert!(bits[0].any());
+        assert!(after > before, "kernel.iso.truncated stayed at {before}");
     }
 
     #[test]

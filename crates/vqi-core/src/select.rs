@@ -380,12 +380,7 @@ mod tests {
     use vqi_graph::index::GraphIndex;
     use vqi_graph::mcs::mcs_similarity;
 
-    /// Serializes the tests that flip the process-global thread cap.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use crate::test_lock as lock;
 
     fn cand(graph: Graph, coverage: BitSet) -> Scored {
         let (code, provenance) = (

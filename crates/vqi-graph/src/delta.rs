@@ -15,7 +15,7 @@
 //!
 //! [`Graph::apply_batch`]: crate::graph::Graph::apply_batch
 
-use crate::graph::{Label, NodeId};
+use crate::graph::{EdgeId, Label, NodeId};
 
 /// A batch of undirected edge mutations: `deletes` are applied first,
 /// then `inserts`. Endpoint pairs are raw node indices; order within a
@@ -104,6 +104,11 @@ pub struct GraphEdit {
     pub delta: EdgeDelta,
     /// The removed edges `(u, v, label)`, in pre-edit edge-id order.
     pub removed: Vec<(NodeId, NodeId, Label)>,
+    /// The removed edges' pre-edit ids, ascending (aligned with
+    /// `removed`). The surviving edges keep their order, renumbered
+    /// densely past these gaps, so per-edge state compacts through
+    /// them.
+    pub removed_ids: Vec<EdgeId>,
     /// Node count before the edit; nodes from here on were appended.
     pub old_node_count: usize,
     /// Every endpoint of a removed or added edge, ascending, with its

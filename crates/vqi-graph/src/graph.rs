@@ -217,6 +217,7 @@ impl Graph {
         GraphEdit {
             delta,
             removed,
+            removed_ids: dead,
             old_node_count,
             touched: net
                 .into_iter()

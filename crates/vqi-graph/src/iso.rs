@@ -480,10 +480,13 @@ impl<'p> PatternPlan<'p> {
         self.enumerate(target, idx, opts, |_| true).embeddings
     }
 
-    /// The set of `target` edge ids touched by any embedding
-    /// (deduplicated, sorted), read off the edges the search matched.
-    /// Enumeration is capped by `opts`; with the default caps this is
-    /// exact for the small patterns used in practice.
+    /// The set of `target` edge ids touched by the embeddings the
+    /// search visits (deduplicated, sorted), read off the edges it
+    /// matched. Enumeration is capped by `opts`: a search the caps stop
+    /// early returns the edges of the embeddings it reached first, a
+    /// prefix of the answer, and counts `kernel.iso.truncated`. On a
+    /// hub-heavy network many chain and star patterns hit the coverage
+    /// caps; stars have an exact closed form in [`crate::star`].
     pub fn covered_edges(
         &self,
         target: &Graph,
@@ -492,12 +495,15 @@ impl<'p> PatternPlan<'p> {
     ) -> Vec<EdgeId> {
         let mut covered = vec![false; target.edge_count()];
         // without a meter the search cannot abort
-        let _ = self.run(target, idx, opts, None, true, |_, edges| {
+        let out = self.run(target, idx, opts, None, true, |_, edges| {
             for te in edges {
                 covered[te.index()] = true;
             }
             true
         });
+        if out.is_ok_and(|o| !o.complete) {
+            vqi_observe::incr("kernel.iso.truncated", 1);
+        }
         covered
             .iter()
             .enumerate()

@@ -9,6 +9,8 @@
 //!   extraction;
 //! * [`iso`] — VF2-style subgraph-isomorphism search with wildcard labels,
 //!   embedding enumeration, and coverage helpers;
+//! * [`star`] — exact edge coverage of star patterns in closed form,
+//!   per node and per edge, so it can be patched after an edit;
 //! * [`canon`] — canonical codes for small graphs (pattern deduplication);
 //! * [`truss`] — k-truss decomposition and the truss-infested /
 //!   truss-oblivious split used by TATTOO;
@@ -57,6 +59,7 @@ pub mod iso;
 pub mod mcs;
 pub mod metrics;
 pub mod par;
+pub mod star;
 pub mod storage;
 pub mod traversal;
 pub mod truss;

@@ -519,6 +519,17 @@ fn in_place_edit_and_patched_index_equal_a_rebuild() {
                 want_delta.deletes.len(),
                 "{ctx}: removed"
             );
+            // the pre-edit ids name exactly the removed edges, ascending
+            let by_id: Vec<(NodeId, NodeId, Label)> = edit
+                .removed_ids
+                .iter()
+                .map(|&e| {
+                    let (u, v) = pre.endpoints(e);
+                    (u, v, pre.edge_label(e))
+                })
+                .collect();
+            assert_eq!(by_id, edit.removed, "{ctx}: removed ids");
+            assert!(edit.removed_ids.windows(2).all(|w| w[0] < w[1]), "{ctx}");
             let mut endpoints: Vec<u32> = want_delta
                 .deletes
                 .iter()
