@@ -89,8 +89,11 @@ echo "== thread-count invariance (parallel kernels vs sequential references) =="
 # the whole suite must produce bit-identical selections at any worker
 # count, so run the consistency tests twice with pinned defaults; the
 # occurrence-driven subtree miner is checked against its
-# generate-and-test oracle, and the shared swap refiner against its
-# per-pair reference loop, at both counts
+# generate-and-test oracle, the shared swap refiner against its
+# per-pair reference loop, the lazy greedy (exact coverage searched
+# only where a bound can still win) against the eager loop over exact
+# coverage, and TATTOO's closed-form coverage bounds against the
+# capped and uncapped searches they must contain, at both counts
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
     VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_counts_match_reference_across_thread_counts
@@ -100,6 +103,8 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-graph batch_canonicalization_matches_sequential_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p vqi-mining occurrence_miner_matches_generate_and_test_oracle
     VQI_NUM_THREADS=$threads named_test -p vqi-core refiner_matches_the_reference_swap_loop
+    VQI_NUM_THREADS=$threads named_test -p vqi-core lazy_greedy_equals_the_eager_loop
+    VQI_NUM_THREADS=$threads named_test -p tattoo coverage_bounds_contain_every_embedding
     VQI_NUM_THREADS=$threads named_test -p catapult selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p tattoo selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p midas maintenance_is_identical_across_thread_counts

@@ -45,14 +45,17 @@ fn main() {
             &mut rng,
         );
         cands.truncate(10); // keep the exhaustive search tractable
-        let scored = score_candidates(cands, &net);
-        if scored.len() < 4 {
+        let bounded = score_candidates(cands, &net);
+        if bounded.len() < 4 {
             continue;
         }
+        // the optimum is brute-forced over exact coverage; the greedy
+        // searches for it only where it needs to
+        let scored: Vec<ScoredCandidate> = bounded.iter().cloned().map(|b| b.resolve()).collect();
         for k in [2usize, 3] {
             let (opt, _) = exhaustive_best(&scored, net.edge_count(), k, weights);
             let greedy_set = greedy_select(
-                scored.clone(),
+                bounded.clone(),
                 net.edge_count(),
                 &PatternBudget::new(k, 4, 5),
                 weights,

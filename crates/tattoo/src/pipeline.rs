@@ -345,6 +345,35 @@ mod tests {
         assert_eq!(one, four, "cap 4 changed the observability output");
     }
 
+    #[test]
+    fn work_counters_are_identical_across_thread_counts() {
+        let _guard = crate::fault_test_lock();
+        let net = vqi_datasets::dblp_like(400, 5);
+        let budget = PatternBudget::new(5, 3, 6);
+        let counters_at = |cap: usize| {
+            vqi_graph::par::set_thread_cap(cap);
+            vqi_observe::reset();
+            vqi_observe::set_enabled(true);
+            Tattoo::default().run(&net, &budget);
+            let c = vqi_observe::snapshot().counters;
+            vqi_observe::set_enabled(false);
+            vqi_graph::par::set_thread_cap(0);
+            let get = |k: &str| c.get(k).copied().unwrap_or(0);
+            (
+                get("tattoo.candidates.deduped"),
+                get("tattoo.score.bounded"),
+                get("tattoo.greedy.searched"),
+            )
+        };
+        let (deduped, bounded, searched) = counters_at(1);
+        // every candidate is bounded; far fewer are searched
+        assert_eq!(bounded, deduped);
+        assert!(searched < bounded / 4, "{searched} of {bounded} searched");
+        for cap in [2, 4] {
+            assert_eq!(counters_at(cap), (deduped, bounded, searched), "cap {cap}");
+        }
+    }
+
     /// [`vqi_observe::invariant_aggregates`] of `work` at thread cap `cap`.
     fn observed_aggregates(
         cap: usize,

@@ -18,17 +18,35 @@
 //! The greedy itself is the shared anytime loop
 //! [`vqi_core::select::anytime_greedy`] over the universe of network
 //! edge ids.
+//!
+//! Coverage is computed lazily. [`score_candidates`] gives every
+//! candidate a closed-form upper bound on its covered edges
+//! ([`edge_coverage_bounds`]): the edges whose endpoints can host the
+//! stars of a pattern edge's endpoints. For a star this bound is the
+//! exact coverage. For any other pattern it contains the capped
+//! search's answer. The greedy scores candidates on their bounds, and
+//! runs the capped coverage search ([`capped_edge_coverage`]) only for
+//! a [`BoundedCandidate`] whose bound score can still win a round.
+//! Each pick is therefore the one the eager loop makes over exact
+//! coverage, while the search runs for a few candidates instead of
+//! every one. [`exhaustive_best`] and [`set_score`] work on exact
+//! coverage ([`BoundedCandidate::resolve`]).
 
 use crate::candidates::Candidate;
+use std::sync::Arc;
 use vqi_core::bitset::BitSet;
 use vqi_core::budget::PatternBudget;
 use vqi_core::ctrl::{Budget, Degradation};
 use vqi_core::pattern::PatternSet;
-use vqi_core::score::{cognitive_load, edge_coverage_bitsets, set_score_bitsets, QualityWeights};
+use vqi_core::score::{
+    capped_edge_coverage, cognitive_load, coverage_match_options, edge_coverage_bounds,
+    set_score_bitsets, QualityWeights,
+};
 use vqi_core::select::{anytime_greedy, ScoredPattern};
 use vqi_graph::canon::CanonicalCode;
 use vqi_graph::index::GraphIndex;
-use vqi_graph::Graph;
+use vqi_graph::iso::PatternPlan;
+use vqi_graph::{par, Graph};
 use vqi_runtime::VqiError;
 
 /// A candidate with its covered-edge bitset over the network.
@@ -65,19 +83,93 @@ impl ScoredPattern for ScoredCandidate {
     }
 }
 
-/// Computes covered-edge bitsets for all candidates in parallel and drops
-/// candidates covering nothing.
-pub fn score_candidates(candidates: Vec<Candidate>, network: &Graph) -> Vec<ScoredCandidate> {
-    let idx = GraphIndex::build(network);
-    let coverages = edge_coverage_bitsets(&candidates, network, &idx, |c| &c.graph);
+/// A candidate scored by an upper bound on its covered edges, with the
+/// network to search for the exact ones when the greedy asks
+/// ([`ScoredPattern::exact_coverage`]).
+#[derive(Debug, Clone)]
+pub struct BoundedCandidate<'n> {
+    /// The candidate, with its bound as `covered`.
+    scored: ScoredCandidate,
+    /// True when the bound is the exact coverage (a star, or any
+    /// pattern on a network carrying a wildcard label), so no search
+    /// is needed.
+    exact: bool,
+    network: &'n Graph,
+    index: Arc<GraphIndex>,
+}
+
+impl BoundedCandidate<'_> {
+    /// The candidate with its exact coverage, the one
+    /// [`vqi_core::score::edge_coverage_bitsets`] reports.
+    pub fn resolve(self) -> ScoredCandidate {
+        let covered = self.exact_coverage();
+        let mut scored = self.scored;
+        if let Some(covered) = covered {
+            scored.covered = covered;
+        }
+        scored
+    }
+}
+
+impl ScoredPattern for BoundedCandidate<'_> {
+    fn graph(&self) -> &Graph {
+        self.scored.graph()
+    }
+    fn code(&self) -> &CanonicalCode {
+        self.scored.code()
+    }
+    fn coverage(&self) -> &BitSet {
+        &self.scored.covered
+    }
+    fn exact_coverage(&self) -> Option<BitSet> {
+        (!self.exact).then(|| capped_edge_coverage(self.graph(), self.network, &self.index))
+    }
+    fn cognitive_load(&self) -> f64 {
+        self.scored.cognitive_load
+    }
+    fn provenance(&self) -> String {
+        self.scored.provenance()
+    }
+}
+
+/// Bounds every candidate's covered edges in closed form
+/// ([`edge_coverage_bounds`]) and drops the candidates covering
+/// nothing. A candidate whose bound is empty has no embedding. One
+/// whose bound is not exact and not empty is kept only if a search
+/// under the coverage caps finds an embedding; that search stops at
+/// the first one, at the state where the capped coverage search finds
+/// it, so exactly the candidates with non-empty capped coverage
+/// survive. The greedy searches for the exact coverage of the few that
+/// can win a round. Counts the bounded candidates as
+/// `tattoo.score.bounded`.
+pub fn score_candidates(candidates: Vec<Candidate>, network: &Graph) -> Vec<BoundedCandidate<'_>> {
+    let index = Arc::new(GraphIndex::build(network));
+    vqi_observe::incr("tattoo.score.bounded", candidates.len() as u64);
+    let bounds = edge_coverage_bounds(&candidates, network, &index, |c| &c.graph);
+    let occurs = par::map_range(candidates.len(), |k| {
+        let (bound, exact) = &bounds[k];
+        bound.any()
+            && (*exact
+                || PatternPlan::new(&candidates[k].graph).is_subgraph_of(
+                    network,
+                    Some(&index),
+                    coverage_match_options(),
+                ))
+    });
     candidates
         .into_iter()
-        .zip(coverages)
-        .filter(|(_, covered)| covered.any())
-        .map(|(c, covered)| ScoredCandidate {
-            cognitive_load: cognitive_load(&c.graph),
-            candidate: c,
-            covered,
+        .zip(bounds)
+        .zip(occurs)
+        .filter(|(_, occurs)| *occurs)
+        .map(|((c, (covered, exact)), _)| BoundedCandidate {
+            scored: ScoredCandidate {
+                cognitive_load: cognitive_load(&c.graph),
+                candidate: c,
+                covered,
+            },
+            exact,
+            network,
+            index: Arc::clone(&index),
         })
         .collect()
 }
@@ -94,8 +186,8 @@ pub fn set_score(members: &[&ScoredCandidate], total_edges: usize, weights: Qual
 
 /// Greedy selection of up to `budget.count` candidates maximizing the
 /// marginal pattern-set score.
-pub fn greedy_select(
-    candidates: Vec<ScoredCandidate>,
+pub fn greedy_select<C: ScoredPattern>(
+    candidates: Vec<C>,
     total_edges: usize,
     budget: &PatternBudget,
     weights: QualityWeights,
@@ -116,9 +208,11 @@ pub fn greedy_select(
 
 /// Budget-aware greedy selection — the **anytime** loop under the
 /// `tattoo.greedy` stage name. Under an unlimited budget with no fault
-/// plan the selection is bit-identical to [`greedy_select`].
-pub fn greedy_select_ctrl(
-    candidates: Vec<ScoredCandidate>,
+/// plan the selection is bit-identical to [`greedy_select`]. Bounded
+/// candidates get their exact coverage searched only while they can
+/// still win a round, counted as `tattoo.greedy.searched`.
+pub fn greedy_select_ctrl<C: ScoredPattern>(
+    candidates: Vec<C>,
     total_edges: usize,
     budget: &PatternBudget,
     weights: QualityWeights,
@@ -171,6 +265,7 @@ mod tests {
     use crate::topology::classify;
     use vqi_graph::canon::canonical_code;
     use vqi_graph::generate::{chain, clique, cycle, star};
+    use vqi_graph::index::GraphIndex;
 
     fn cand(g: Graph, from_truss: bool) -> Candidate {
         Candidate {
@@ -179,6 +274,15 @@ mod tests {
             graph: g,
             from_truss_region: from_truss,
         }
+    }
+
+    /// The candidates with their exact coverage.
+    fn exact(bounded: &[BoundedCandidate]) -> Vec<ScoredCandidate> {
+        bounded
+            .iter()
+            .cloned()
+            .map(BoundedCandidate::resolve)
+            .collect()
     }
 
     fn network() -> Graph {
@@ -232,12 +336,13 @@ mod tests {
             cand(chain(5, 1, 0), false),
             cand(star(3, 1, 0), false),
         ];
-        let scored = score_candidates(cands, &net);
+        let bounded = score_candidates(cands, &net);
+        let scored = exact(&bounded);
         let weights = QualityWeights::default();
         let k = 2;
         let (opt, _) = exhaustive_best(&scored, net.edge_count(), k, weights);
         let greedy = greedy_select(
-            scored.clone(),
+            bounded,
             net.edge_count(),
             &PatternBudget::new(k, 3, 6),
             weights,
@@ -266,7 +371,7 @@ mod tests {
     fn empty_network_selects_nothing() {
         let _guard = crate::fault_test_lock();
         let set = greedy_select(
-            vec![],
+            Vec::<ScoredCandidate>::new(),
             0,
             &PatternBudget::default(),
             QualityWeights::default(),
@@ -280,7 +385,7 @@ mod tests {
         // total_edges.max(1) denominator could produce a positive score
         // for an empty network)
         let net = network();
-        let scored = score_candidates(vec![cand(cycle(3, 1, 0), true)], &net);
+        let scored = exact(&score_candidates(vec![cand(cycle(3, 1, 0), true)], &net));
         let members: Vec<&ScoredCandidate> = scored.iter().collect();
         // members carry bitsets sized to the real network; an empty
         // network has no candidates at all, so score the empty repo with
@@ -291,5 +396,156 @@ mod tests {
             0.0
         );
         assert!(set_score(&members, net.edge_count(), QualityWeights::default()) > 0.0);
+    }
+
+    /// TATTOO's candidates for `net` (the pipeline's extraction and
+    /// dedup), plus hand-built chains, a tree and triangles in the
+    /// network's two most common labels.
+    fn candidates_of(net: &Graph, budget: &PatternBudget, seed: u64) -> Vec<Candidate> {
+        use crate::candidates::{extract_from_region, ExtractParams};
+        use rand::SeedableRng;
+        let rng = &mut rand::rngs::SmallRng::seed_from_u64(seed);
+        let split = vqi_graph::truss::decompose(net, 3);
+        let params = ExtractParams::default();
+        let mut cands =
+            extract_from_region(&split.infested_graph(net).0, true, budget, params, rng);
+        cands.extend(extract_from_region(
+            &split.oblivious_graph(net).0,
+            false,
+            budget,
+            params,
+            rng,
+        ));
+        let tree = vqi_graph::graph::GraphBuilder::new()
+            .nodes(&[0, 0, 1, 0, 0])
+            .edge(0, 1, 0)
+            .edge(1, 2, 1)
+            .edge(1, 3, 0)
+            .edge(3, 4, 0)
+            .build();
+        for g in [
+            chain(3, 0, 0),
+            chain(4, 0, 1),
+            chain(5, 1, 0),
+            tree,
+            cycle(3, 0, 0),
+            cycle(3, 1, 1),
+        ] {
+            cands.push(cand(g, false));
+        }
+        let mut seen = std::collections::HashSet::new();
+        cands.retain(|c| seen.insert(c.code.clone()));
+        cands
+    }
+
+    #[test]
+    fn coverage_bounds_contain_every_embedding() {
+        use vqi_core::score::{coverage_match_options, edge_coverage_bounds};
+        use vqi_graph::iso::{covered_edges, MatchOptions};
+        use vqi_graph::{NodeId, WILDCARD_LABEL};
+        let _guard = crate::fault_test_lock();
+        let uncapped = MatchOptions {
+            max_embeddings: usize::MAX,
+            max_states: u64::MAX,
+            ..coverage_match_options()
+        };
+        let budget = PatternBudget::new(5, 3, 5);
+        let (mut stars_enumerated, mut empty, mut wild) = (0, 0, 0);
+        for seed in 0..12u64 {
+            let mut net = if seed % 2 == 0 {
+                vqi_datasets::dblp_like(150 + 10 * seed as usize, seed)
+            } else {
+                vqi_datasets::hub_network(seed, 1 + (seed % 3) as u32)
+            };
+            let mut cands = candidates_of(&net, &budget, seed);
+            // a wildcard in the network, or in one pattern
+            if seed % 4 == 1 {
+                net.set_node_label(NodeId(seed as u32), WILDCARD_LABEL);
+            }
+            if seed % 3 == 0 {
+                let mut g = cands[0].graph.clone();
+                g.set_node_label(NodeId(0), WILDCARD_LABEL);
+                cands.push(cand(g, true));
+            }
+            let idx = GraphIndex::build(&net);
+            let bounds = edge_coverage_bounds(&cands, &net, &idx, |c| &c.graph);
+            let mut enumerated = 0;
+            for (c, (bound, exact)) in cands.iter().zip(&bounds) {
+                let p = &c.graph;
+                let ctx = format!("seed {seed}, {:?} of {} edges", c.class, p.edge_count());
+                let plan = PatternPlan::new(p);
+                let capped = plan.covered_edges(&net, Some(&idx), coverage_match_options());
+                let got: Vec<usize> = bound.ones().collect();
+                if idx.fingerprint().has_wildcard() {
+                    // every bound would be the whole edge set: the
+                    // capped coverage comes back instead
+                    wild += 1;
+                    let want: Vec<usize> = capped.iter().map(|e| e.index()).collect();
+                    assert!(*exact && got == want, "{ctx}: not the capped coverage");
+                    continue;
+                }
+                assert!(
+                    capped.iter().all(|e| bound.get(e.index())),
+                    "{ctx}: bound misses an embedding"
+                );
+                if vqi_graph::index::Fingerprint::of(p).has_wildcard() {
+                    wild += 1;
+                    assert!(!exact, "{ctx}: a wildcard bound claims to be exact");
+                }
+                if *exact {
+                    let star = vqi_graph::star::Star::of(p).expect("exact bounds are stars'");
+                    let closed = star.covered_edges(&net, &vqi_graph::star::RowTypes::of(&net));
+                    assert_eq!(
+                        got,
+                        closed.iter().map(|e| e.index()).collect::<Vec<_>>(),
+                        "{ctx}"
+                    );
+                    if p.edge_count() <= 3 && enumerated < 4 {
+                        enumerated += 1;
+                        let all = covered_edges(p, &net, uncapped);
+                        assert_eq!(
+                            got,
+                            all.iter().map(|e| e.index()).collect::<Vec<_>>(),
+                            "{ctx}"
+                        );
+                    }
+                }
+                if !bound.any() {
+                    empty += 1;
+                    let first = MatchOptions {
+                        max_embeddings: 1,
+                        ..uncapped
+                    };
+                    let found = plan
+                        .enumerate(&net, Some(&idx), first, |_| false)
+                        .embeddings;
+                    assert_eq!(found, 0, "{ctx}: an empty bound with an embedding");
+                }
+            }
+            stars_enumerated += enumerated;
+
+            // over these bounds the greedy picks what it picks over the
+            // exact coverage
+            let bounded = score_candidates(cands, &net);
+            let exact_cands = exact(&bounded);
+            for k in [1usize, 3, 5, 10] {
+                let budget = PatternBudget::new(k, 3, 5);
+                let w = QualityWeights::default();
+                let lazy = greedy_select(bounded.clone(), net.edge_count(), &budget, w);
+                let eager = greedy_select(exact_cands.clone(), net.edge_count(), &budget, w);
+                assert!(
+                    lazy == eager,
+                    "seed {seed} k {k}: the bounds changed the selection"
+                );
+            }
+        }
+        assert!(
+            stars_enumerated >= 12,
+            "{stars_enumerated} stars enumerated"
+        );
+        assert!(
+            empty > 0 && wild > 0,
+            "{empty} empty bounds, {wild} wildcard bounds"
+        );
     }
 }

@@ -26,6 +26,17 @@ impl BitSet {
         }
     }
 
+    /// A bitset of `len` bits from its packed words: bit `i` is bit
+    /// `i % 64` of `words[i / 64]`. Panics unless there are exactly
+    /// `len.div_ceil(64)` words and no bit at or past `len` is set.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count for {len} bits");
+        if let (Some(last), tail @ 1..) = (words.last(), len % 64) {
+            assert_eq!(last >> tail, 0, "bits set past {len}");
+        }
+        BitSet { words, len }
+    }
+
     /// Builds a bitset from a slice of booleans.
     pub fn from_bools(bits: &[bool]) -> Self {
         let mut s = BitSet::new(bits.len());

@@ -15,6 +15,10 @@
 //!   [`coverage_match_options`]' caps; on a hub-heavy network such a
 //!   search can stop early and then reports only the edges of the
 //!   embeddings it reached first (counted as `kernel.iso.truncated`).
+//!   [`edge_coverage_bounds`] bounds any pattern's network coverage in
+//!   closed form from the same star test, without a search. TATTOO
+//!   scores candidates on these bounds and searches only the few that
+//!   can still win a greedy round.
 //! * **diversity** — patterns should be structurally diverse:
 //!   `div(P) = 1 − mean pairwise MCS similarity`.
 //! * **cognitive load** — a per-pattern effort estimate that grows with
@@ -34,8 +38,8 @@ use vqi_graph::canon::{canonical_code, CanonicalCode};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::{is_subgraph_isomorphic, MatchOptions, PatternPlan};
 use vqi_graph::par;
-use vqi_graph::star::{RowTypes, Star};
-use vqi_graph::Graph;
+use vqi_graph::star::{CoverageBounds, RowTypes, Star};
+use vqi_graph::{EdgeId, Graph};
 
 /// Matching options used for coverage: non-induced, wildcard-aware (basic
 /// patterns and CSG-derived patterns carry wildcards), bounded.
@@ -224,11 +228,11 @@ pub fn coverage_star(pattern: &Graph, idx: &GraphIndex) -> Option<Star> {
 /// `out[k]` is set iff some embedding of `patterns[k]` uses edge `e`.
 /// This is exact for the patterns [`coverage_star`] accepts (stars,
 /// decided in O(V + E) with no search). Any other pattern is matched
-/// by VF2 under [`coverage_match_options`], whose caps can stop the
-/// search early: the bitset then holds the edges of the embeddings
-/// visited first, a prefix of the answer, and `kernel.iso.truncated`
-/// counts the cut. `idx` must be built from this exact `network`; it
-/// serves every search.
+/// by [`capped_edge_coverage`], whose caps can stop the search early:
+/// the bitset then holds the edges of the embeddings visited first, a
+/// prefix of the answer, and `kernel.iso.truncated` counts the cut.
+/// `idx` must be built from this exact `network`; it serves every
+/// search.
 pub fn edge_coverage_bitsets<T: Sync>(
     patterns: &[T],
     network: &Graph,
@@ -247,17 +251,60 @@ pub fn edge_coverage_bitsets<T: Sync>(
         .iter()
         .any(|(_, star)| star.is_some())
         .then(|| RowTypes::of(network));
-    par::map(&jobs, |(p, star)| {
-        let covered = match (star, &rows) {
-            (Some(star), Some(rows)) => star.covered_edges(network, rows),
-            _ => PatternPlan::new(p).covered_edges(network, Some(idx), coverage_match_options()),
-        };
-        let mut bits = BitSet::new(network.edge_count());
-        for e in covered {
-            bits.set(e.index());
-        }
-        bits
+    par::map(&jobs, |(p, star)| match (star, &rows) {
+        (Some(star), Some(rows)) => edge_bits(network, star.covered_edges(network, rows)),
+        _ => capped_edge_coverage(p, network, idx),
     })
+}
+
+/// The covered-edge bitset of `pattern` over `network` from a VF2
+/// search under [`coverage_match_options`]: what
+/// [`edge_coverage_bitsets`] reports for a pattern [`coverage_star`]
+/// refuses. A search the caps stop early yields the edges of the
+/// embeddings it reached first and counts `kernel.iso.truncated`.
+pub fn capped_edge_coverage(pattern: &Graph, network: &Graph, idx: &GraphIndex) -> BitSet {
+    let covered =
+        PatternPlan::new(pattern).covered_edges(network, Some(idx), coverage_match_options());
+    edge_bits(network, covered)
+}
+
+/// Upper bounds on the covered-edge bitsets of `patterns` over
+/// `network`, each paired with whether it is exact. `out[k].0` holds
+/// every edge that some embedding of `patterns[k]` can use (the
+/// star-consistency bound of [`CoverageBounds`]), so it contains what
+/// [`edge_coverage_bitsets`] reports, whether or not the search is
+/// capped. It is empty only if no embedding exists. `out[k].1` is true
+/// when the bound equals that report, as it does for every pattern
+/// [`coverage_star`] accepts. The bounds cost one pass over the
+/// network's rows and a scan of each pattern's edge types, with no
+/// search. On a network carrying a wildcard label every bound would be
+/// the whole edge set, so there the answers of
+/// [`edge_coverage_bitsets`] come back instead, each flagged exact.
+/// `idx` must be built from this exact `network`.
+pub fn edge_coverage_bounds<T: Sync>(
+    patterns: &[T],
+    network: &Graph,
+    idx: &GraphIndex,
+    pattern: impl Fn(&T) -> &Graph + Sync,
+) -> Vec<(BitSet, bool)> {
+    if idx.fingerprint().has_wildcard() {
+        let exact = edge_coverage_bitsets(patterns, network, idx, pattern);
+        return exact.into_iter().map(|bits| (bits, true)).collect();
+    }
+    let bounds = CoverageBounds::new(network, idx, patterns.iter().map(&pattern));
+    par::map_range(patterns.len(), |k| {
+        let bits = BitSet::from_words(network.edge_count(), bounds.bound_words(k));
+        (bits, coverage_star(pattern(&patterns[k]), idx).is_some())
+    })
+}
+
+/// `edges` of `network` as a bitset over its edge ids.
+fn edge_bits(network: &Graph, edges: Vec<EdgeId>) -> BitSet {
+    let mut bits = BitSet::new(network.edge_count());
+    for e in edges {
+        bits.set(e.index());
+    }
+    bits
 }
 
 /// Fraction of live collection graphs containing `p`.
@@ -444,36 +491,6 @@ mod tests {
         assert!(!bits[3].any());
     }
 
-    /// A network whose first `hubs` nodes (label 0) hold dense rows of
-    /// edge label 0 over a sparse, mostly label-0 background: 3-leaf
-    /// stars have tens of thousands of embeddings per hub.
-    fn hub_network(seed: u64, hubs: u32) -> Graph {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let rng = &mut SmallRng::seed_from_u64(seed);
-        let n = 90u32;
-        let mut g = Graph::new();
-        for v in 0..n {
-            let l = if v < hubs || rng.gen_bool(0.7) {
-                0
-            } else {
-                rng.gen_range(1..3)
-            };
-            g.add_node(l);
-        }
-        let node = |v: u32| vqi_graph::NodeId(v);
-        for _ in 0..2 * n {
-            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            g.add_edge(node(u), node(v), rng.gen_range(0..2));
-        }
-        for h in 0..hubs {
-            for _ in 0..45 {
-                g.add_edge(node(h), node(rng.gen_range(0..n)), 0);
-            }
-        }
-        g
-    }
-
     /// Stars read off `g`: up to 3 leaves drawn from the row of a hub or
     /// of a random node, plus the all-label-0 3-leaf star.
     fn sampled_stars(g: &Graph, seed: u64, hubs: u32) -> Vec<Graph> {
@@ -519,7 +536,7 @@ mod tests {
         let (mut cases, mut truncated) = (0, 0);
         for seed in 0..12u64 {
             let hubs = 1 + (seed % 3) as u32;
-            let g = hub_network(seed, hubs);
+            let g = vqi_datasets::hub_network(seed, hubs);
             let idx = GraphIndex::build(&g);
             let stars = sampled_stars(&g, seed, hubs);
             let bits = edge_coverage_bitsets(&stars, &g, &idx, |p| p);
@@ -544,10 +561,10 @@ mod tests {
         // closed form is what makes them exact
         assert!(truncated > 0, "no capped search truncated in {cases} cases");
         // a wildcard label on either side sends a star to the search
-        let mut wild = hub_network(1, 1);
+        let mut wild = vqi_datasets::hub_network(1, 1);
         wild.add_node(vqi_graph::WILDCARD_LABEL);
         assert!(coverage_star(&star(2, 0, 0), &GraphIndex::build(&wild)).is_none());
-        let idx = GraphIndex::build(&hub_network(1, 1));
+        let idx = GraphIndex::build(&vqi_datasets::hub_network(1, 1));
         assert!(coverage_star(&star(2, vqi_graph::WILDCARD_LABEL, 0), &idx).is_none());
     }
 

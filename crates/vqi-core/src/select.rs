@@ -25,7 +25,17 @@
 //! loop reports: the budget meter and `ctrl.check`, the
 //! `fault::maybe_timeout` site `<stage>`, the `fault::nan_score` site
 //! `<stage>.score`, degradation records, and the `<stage>.iterations`,
-//! `<stage>.sim_calls` and `<stage>.selected` counters.
+//! `<stage>.sim_calls`, `<stage>.selected` and `<stage>.searched`
+//! counters.
+//!
+//! **Lazy exact coverage.** A candidate's coverage may be an upper
+//! bound, with [`ScoredPattern::exact_coverage`] computing the exact
+//! one (TATTOO bounds network coverage in closed form and searches
+//! it). Every round scores all candidates on what it knows. Only
+//! candidates whose score can still reach the best exact score get
+//! their exact coverage, which `<stage>.searched` counts. Since
+//! `exact ≤ bound`, each pick is the one the loop would make over exact
+//! coverage everywhere (see `lazy_argmax`).
 //!
 //! **Why the incremental fold is bit-identical.** Each candidate keeps
 //! a running `max_{q ∈ S} sim(p, q)` that is folded forward against
@@ -73,8 +83,16 @@ pub trait ScoredPattern: Sync {
     fn graph(&self) -> &Graph;
     /// Canonical code of [`Self::graph`] (the MCS memo key).
     fn code(&self) -> &CanonicalCode;
-    /// Covered units of the universe (graph positions or edge ids).
+    /// Covered units of the universe (graph positions or edge ids), or
+    /// a superset of them when [`Self::exact_coverage`] computes them.
     fn coverage(&self) -> &BitSet;
+    /// The exact covered units when [`Self::coverage`] is only an upper
+    /// bound on them, or `None` when it is exact. The greedy asks at
+    /// most once per candidate, and only for a candidate that can still
+    /// win a round. The default says the bound is exact.
+    fn exact_coverage(&self) -> Option<BitSet> {
+        None
+    }
     /// Cognitive load of [`Self::graph`].
     fn cognitive_load(&self) -> f64;
     /// Provenance string recorded when the candidate is selected.
@@ -125,6 +143,26 @@ impl ScoredPattern for Scored {
     }
 }
 
+/// What [`anytime_greedy`] knows of one candidate's coverage.
+enum Known {
+    /// Only the bound [`ScoredPattern::coverage`].
+    Bound,
+    /// The bound, which [`ScoredPattern::exact_coverage`] said is exact.
+    Exact,
+    /// The exact coverage [`ScoredPattern::exact_coverage`] computed.
+    Searched(BitSet),
+}
+
+impl Known {
+    /// The coverage to score with: the searched one, else `bound`.
+    fn or<'a>(&'a self, bound: &'a BitSet) -> &'a BitSet {
+        match self {
+            Known::Searched(bits) => bits,
+            _ => bound,
+        }
+    }
+}
+
 /// Budget-aware greedy selection of up to `budget.count` candidates
 /// over a universe of `universe` units — the **anytime** loop.
 ///
@@ -136,6 +174,11 @@ impl ScoredPattern for Scored {
 /// winning the `total_cmp` argmax, and each is noted in `deg`. `Err`
 /// is returned only under a fail-fast budget. An empty universe
 /// selects nothing.
+///
+/// Candidates are scored on their [`ScoredPattern::coverage`], and a
+/// candidate whose coverage is only a bound gets its exact coverage
+/// once its bound score can still win a round (see `lazy_argmax`);
+/// `<stage>.searched` counts those computations.
 pub fn anytime_greedy<C: ScoredPattern>(
     mut candidates: Vec<C>,
     universe: usize,
@@ -157,6 +200,8 @@ pub fn anytime_greedy<C: ScoredPattern>(
     // while the set is empty so `1.0 - max_sim` reproduces the
     // full-diversity score of the first round
     let mut max_sim: Vec<f64> = vec![0.0; candidates.len()];
+    let mut known: Vec<Known> = candidates.iter().map(|_| Known::Bound).collect();
+    let mut searched = 0u64;
     // one meter for the whole selection: with a tick quota of N the
     // loop degrades after exactly N rounds, at any thread count
     let mut meter = ctrl.meter(stage);
@@ -176,12 +221,15 @@ pub fn anytime_greedy<C: ScoredPattern>(
             break;
         }
         vqi_observe::incr(&iterations, 1);
-        let mut scores: Vec<f64> = par::map_range(candidates.len(), |i| {
+        let score = |i: usize, coverage: &BitSet| {
+            let gain = coverage.count_and_not(&covered) as f64 / universe as f64;
             let c = &candidates[i];
-            let gain = c.coverage().count_and_not(&covered) as f64 / universe as f64;
             combined_score(gain, 1.0 - max_sim[i], c.cognitive_load(), weights)
+        };
+        let mut bounds: Vec<f64> = par::map_range(candidates.len(), |i| {
+            score(i, known[i].or(candidates[i].coverage()))
         });
-        for (i, s) in scores.iter_mut().enumerate() {
+        for (i, s) in bounds.iter_mut().enumerate() {
             // fault site keyed by (round, position) — both are pure
             // functions of the input, never of the thread count
             *s = fault::nan_score(&score_site, (round << 32) | i as u64, *s);
@@ -193,17 +241,40 @@ pub fn anytime_greedy<C: ScoredPattern>(
                 *s = f64::NEG_INFINITY;
             }
         }
-        let (best, &best_score) = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("candidates nonempty");
-        if best_score <= 0.0 && !candidates[best].coverage().any_and_not(&covered) {
+        let mut settle = |i: usize, known: &mut [Known]| {
+            if let Known::Bound = known[i] {
+                known[i] = match candidates[i].exact_coverage() {
+                    Some(bits) => {
+                        searched += 1;
+                        Known::Searched(bits)
+                    }
+                    None => Known::Exact,
+                };
+            }
+        };
+        let (best, best_score) = lazy_argmax(&bounds, |i| {
+            // a NaN fault is keyed by position and a weight overflow
+            // does not depend on the gain, so a position whose bound
+            // score was sanitized has a non-finite exact score too
+            if bounds[i] == f64::NEG_INFINITY {
+                return bounds[i];
+            }
+            settle(i, &mut known);
+            match &known[i] {
+                Known::Searched(bits) => score(i, bits),
+                _ => bounds[i],
+            }
+        })
+        .expect("candidates nonempty");
+        // the break rule and the union read the pick's exact coverage
+        settle(best, &mut known);
+        let exact = known[best].or(candidates[best].coverage());
+        if best_score <= 0.0 && !exact.any_and_not(&covered) {
             break;
         }
         let chosen = candidates.swap_remove(best);
         max_sim.swap_remove(best);
-        covered.union_with(chosen.coverage());
+        covered.union_with(known.swap_remove(best).or(chosen.coverage()));
         if set
             .insert(
                 chosen.graph().clone(),
@@ -231,7 +302,38 @@ pub fn anytime_greedy<C: ScoredPattern>(
         }
     }
     vqi_observe::incr(&format!("{stage}.selected"), set.len() as u64);
+    vqi_observe::incr(&format!("{stage}.searched"), searched);
     Ok(set)
+}
+
+/// The position the eager argmax picks — the last maximum of the exact
+/// scores under `total_cmp` — and its exact score, or `None` when
+/// `bounds` is empty. `bounds[i]` must be at least position `i`'s exact
+/// score, which `exact(i)` computes.
+///
+/// Positions are visited in descending bound order, the later position
+/// first among equal bounds, and `exact` is called for each until a
+/// bound falls below the best exact score so far. Every position left
+/// unvisited has an exact score at most its bound, which is below that
+/// best, so it could neither win nor tie.
+fn lazy_argmax(bounds: &[f64], mut exact: impl FnMut(usize) -> f64) -> Option<(usize, f64)> {
+    let mut order: Vec<usize> = (0..bounds.len()).collect();
+    order.sort_unstable_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(b.cmp(&a)));
+    let mut best: Option<(usize, f64)> = None;
+    for i in order {
+        if best.is_some_and(|(_, s)| bounds[i].total_cmp(&s).is_lt()) {
+            break;
+        }
+        let s = exact(i);
+        debug_assert!(
+            s.total_cmp(&bounds[i]).is_le(),
+            "exact score above its bound"
+        );
+        if best.is_none_or(|(j, t)| s.total_cmp(&t).then(i.cmp(&j)).is_gt()) {
+            best = Some((i, s));
+        }
+    }
+    best
 }
 
 /// A fresh candidate for [`swap_refine`].
@@ -377,6 +479,7 @@ mod tests {
     use crate::score::{coverage_bitsets, edge_coverage_bitsets};
     use vqi_graph::canon::canonical_code;
     use vqi_graph::generate::{chain, clique, cycle, star};
+    use vqi_graph::graph::GraphBuilder;
     use vqi_graph::index::GraphIndex;
     use vqi_graph::mcs::mcs_similarity;
 
@@ -691,6 +794,354 @@ mod tests {
         assert_eq!(counters["test.keyed.iterations"], 3);
         assert_eq!(counters["test.keyed.selected"], 3);
         assert!(counters["test.keyed.sim_calls"] > 0);
+    }
+
+    /// The greedy loop before lazy coverage: every round scores every
+    /// candidate on its exact coverage. [`anytime_greedy`] over bounds
+    /// must match it pick for pick, provenance for provenance, note for
+    /// note.
+    fn eager_greedy(
+        mut candidates: Vec<Scored>,
+        universe: usize,
+        budget: &PatternBudget,
+        weights: QualityWeights,
+        stage: &'static str,
+        ctrl: &Budget,
+        deg: &mut Degradation,
+    ) -> Result<PatternSet, VqiError> {
+        let mut set = PatternSet::new();
+        if universe == 0 {
+            return Ok(set);
+        }
+        let score_site = format!("{stage}.score");
+        let mut covered = BitSet::new(universe);
+        let mut max_sim: Vec<f64> = vec![0.0; candidates.len()];
+        let mut meter = ctrl.meter(stage);
+        while set.len() < budget.count && !candidates.is_empty() {
+            let round = set.len() as u64;
+            if let Err(e) = ctrl.check(stage).and_then(|()| meter.tick()) {
+                deg.absorb(ctrl, e)?;
+                break;
+            }
+            if fault::maybe_timeout(stage, round) {
+                let e = VqiError::DeadlineExceeded {
+                    stage: stage.into(),
+                };
+                deg.absorb(ctrl, e)?;
+                break;
+            }
+            let mut scores: Vec<f64> = par::map_range(candidates.len(), |i| {
+                let c = &candidates[i];
+                let gain = c.coverage().count_and_not(&covered) as f64 / universe as f64;
+                combined_score(gain, 1.0 - max_sim[i], c.cognitive_load(), weights)
+            });
+            for (i, s) in scores.iter_mut().enumerate() {
+                *s = fault::nan_score(&score_site, (round << 32) | i as u64, *s);
+                if !s.is_finite() {
+                    deg.note(
+                        stage,
+                        format!("non-finite score sanitized in round {round}"),
+                    );
+                    *s = f64::NEG_INFINITY;
+                }
+            }
+            let (best, &best_score) = scores
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .expect("candidates nonempty");
+            if best_score <= 0.0 && !candidates[best].coverage().any_and_not(&covered) {
+                break;
+            }
+            let chosen = candidates.swap_remove(best);
+            max_sim.swap_remove(best);
+            covered.union_with(chosen.coverage());
+            if set
+                .insert(
+                    chosen.graph().clone(),
+                    PatternKind::Canned,
+                    chosen.provenance(),
+                )
+                .is_ok()
+            {
+                for (i, m) in max_sim.iter_mut().enumerate() {
+                    let c = &candidates[i];
+                    *m = m.max(mcs_similarity_cached_bounded(
+                        c.graph(),
+                        c.code(),
+                        chosen.graph(),
+                        chosen.code(),
+                        *m,
+                    ));
+                }
+            }
+        }
+        Ok(set)
+    }
+
+    /// A candidate scored on a bound; the engine gets its exact
+    /// coverage only by asking.
+    #[derive(Clone)]
+    struct Bounded {
+        scored: Scored,
+        /// `None` when the bound is exact.
+        exact: Option<BitSet>,
+    }
+
+    impl ScoredPattern for Bounded {
+        fn graph(&self) -> &Graph {
+            self.scored.graph()
+        }
+        fn code(&self) -> &CanonicalCode {
+            self.scored.code()
+        }
+        fn coverage(&self) -> &BitSet {
+            self.scored.coverage()
+        }
+        fn exact_coverage(&self) -> Option<BitSet> {
+            self.exact.clone()
+        }
+        fn cognitive_load(&self) -> f64 {
+            self.scored.cognitive_load()
+        }
+        fn provenance(&self) -> String {
+            self.scored.provenance()
+        }
+    }
+
+    /// The same candidates twice: on their bounds for the engine, on
+    /// their exact coverage for [`eager_greedy`].
+    fn bounded_and_exact(
+        cands: Vec<(Graph, BitSet, Option<BitSet>)>,
+    ) -> (Vec<Bounded>, Vec<Scored>) {
+        cands
+            .into_iter()
+            .enumerate()
+            .map(|(k, (graph, bound, exact))| {
+                let code = canonical_code(&graph);
+                let provenance = format!("test:{k}");
+                let eager = Scored::new(
+                    graph.clone(),
+                    code.clone(),
+                    exact.clone().unwrap_or_else(|| bound.clone()),
+                    provenance.clone(),
+                );
+                let scored = Scored::new(graph, code, bound, provenance);
+                (Bounded { scored, exact }, eager)
+            })
+            .unzip()
+    }
+
+    /// Runs the engine on `lazy` and the eager loop on `eager` under
+    /// `ctrl` at thread cap `cap`, each with a fresh copy of the fault
+    /// plan `nan` (a fault fires once per site and key), and asserts
+    /// they agree; returns the searches the engine ran and whether the
+    /// run was cut.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_lazy_equals_eager(
+        lazy: &[Bounded],
+        eager: &[Scored],
+        universe: usize,
+        count: usize,
+        ctrl: &Budget,
+        nan: Option<fault::FaultPlan>,
+        cap: usize,
+        ctx: &str,
+    ) -> (u64, bool) {
+        let (budget, w) = (PatternBudget::new(count, 2, 8), QualityWeights::default());
+        let install = || {
+            if let Some(plan) = &nan {
+                fault::set_plan(*plan);
+            }
+        };
+        par::set_thread_cap(cap);
+        install();
+        let mut deg = Degradation::new();
+        let want = eager_greedy(
+            eager.to_vec(),
+            universe,
+            &budget,
+            w,
+            "test.lazy",
+            ctrl,
+            &mut deg,
+        );
+        let want_deg = format!("{deg:?}");
+        install();
+        let mut deg = Degradation::new();
+        vqi_observe::set_enabled(true);
+        let before = vqi_observe::snapshot().counters;
+        let got = anytime_greedy(
+            lazy.to_vec(),
+            universe,
+            &budget,
+            w,
+            "test.lazy",
+            ctrl,
+            &mut deg,
+        );
+        let after = vqi_observe::snapshot().counters;
+        vqi_observe::set_enabled(false);
+        fault::reset();
+        par::set_thread_cap(0);
+        let (got, want) = (got.expect("not fail-fast"), want.expect("not fail-fast"));
+        assert!(got == want, "{ctx}: selection or provenance differs");
+        assert_eq!(
+            format!("{deg:?}"),
+            want_deg,
+            "{ctx}: degradation notes differ"
+        );
+        let searched = |c: &std::collections::BTreeMap<String, u64>| {
+            c.get("test.lazy.searched").copied().unwrap_or(0)
+        };
+        (searched(&after) - searched(&before), !deg.is_empty())
+    }
+
+    /// Connected patterns of 1 to 5 edges grown from random edges of
+    /// `g`, plus hand-built chains, a tree, a triangle and a star.
+    fn sampled_patterns(g: &Graph, seed: u64) -> Vec<Graph> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let rng = &mut SmallRng::seed_from_u64(seed ^ 0xB0);
+        let mut out = vec![
+            chain(3, 0, 0),
+            chain(4, 0, 1),
+            cycle(3, 0, 0),
+            star(3, 0, 0),
+            GraphBuilder::new()
+                .nodes(&[0, 0, 1, 0, 2])
+                .edge(0, 1, 0)
+                .edge(1, 2, 0)
+                .edge(1, 3, 1)
+                .edge(3, 4, 0)
+                .build(),
+        ];
+        while out.len() < 24 {
+            let size = rng.gen_range(1..=5usize);
+            let mut edges = vec![vqi_graph::EdgeId(rng.gen_range(0..g.edge_count() as u32))];
+            let mut nodes: Vec<vqi_graph::NodeId> = Vec::new();
+            for _ in 0..4 * size {
+                if edges.len() == size {
+                    break;
+                }
+                let (u, v) = g.endpoints(*edges.last().expect("nonempty"));
+                nodes.extend([u, v]);
+                let x = nodes[rng.gen_range(0..nodes.len())];
+                let row = g.neighbor_slice(x);
+                let (_, e) = row[rng.gen_range(0..row.len())];
+                if !edges.contains(&e) {
+                    edges.push(e);
+                }
+            }
+            out.push(g.edge_subgraph(&edges).0);
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_greedy_equals_the_eager_loop() {
+        let _guard = lock();
+        let (mut searched, mut bounded, mut cut) = (0u64, 0usize, 0usize);
+        for seed in 0..12u64 {
+            let g = if seed % 2 == 0 {
+                vqi_datasets::dblp_like(160 + 10 * seed as usize, seed)
+            } else {
+                vqi_datasets::hub_network(seed, 1 + (seed % 3) as u32)
+            };
+            let idx = GraphIndex::build(&g);
+            let patterns = sampled_patterns(&g, seed);
+            let bounds = crate::score::edge_coverage_bounds(&patterns, &g, &idx, |p| p);
+            let exact = edge_coverage_bitsets(&patterns, &g, &idx, |p| p);
+            let cands: Vec<(Graph, BitSet, Option<BitSet>)> = patterns
+                .into_iter()
+                .zip(bounds)
+                .zip(exact)
+                .map(|((p, (bound, is_exact)), exact)| {
+                    if is_exact {
+                        assert_eq!(bound, exact, "seed {seed}: an exact bound is not exact");
+                        (p, bound, None)
+                    } else {
+                        (p, bound, Some(exact))
+                    }
+                })
+                .collect();
+            bounded += cands.iter().filter(|c| c.2.is_some()).count();
+            let (lazy, eager) = bounded_and_exact(cands);
+            let quota = Budget::unlimited().with_kernel_ticks(2);
+            for count in [1usize, 3, 5, 10] {
+                for cap in [1usize, 4] {
+                    let ctx = format!("seed {seed} k {count} cap {cap}");
+                    let unlimited = Budget::unlimited();
+                    let universe = g.edge_count();
+                    let run = |ctrl: &Budget, nan: Option<fault::FaultPlan>, ctx: &str| {
+                        assert_lazy_equals_eager(
+                            &lazy, &eager, universe, count, ctrl, nan, cap, ctx,
+                        )
+                    };
+                    searched += run(&unlimited, None, &ctx).0;
+                    cut += usize::from(run(&quota, None, &format!("{ctx}, 2-tick quota")).1);
+                    for rate in [0.3, 1.0] {
+                        let plan = fault::FaultPlan {
+                            seed,
+                            nan_rate: rate,
+                            ..Default::default()
+                        };
+                        run(&unlimited, Some(plan), &format!("{ctx}, NaN rate {rate}"));
+                    }
+                }
+            }
+        }
+        // the quota cut some runs, and the engine searched for fewer
+        // than half the exact coverages the eager loop computed
+        assert!(cut > 0, "no run was cut");
+        // the eager loop computes every bounded candidate's coverage in
+        // each of the 8 unlimited runs per seed
+        assert!(
+            2 * (searched as usize) < 8 * bounded,
+            "{searched} searches for {bounded} bounded candidates"
+        );
+    }
+
+    #[test]
+    fn lazy_pick_breaks_ties_like_the_eager_loop() {
+        let _guard = lock();
+        // two 3-chains of equal cognitive load with two exact units
+        // each: their first-round scores tie whatever the bounds say
+        let bits = |ones: &[usize]| {
+            let mut b = BitSet::new(8);
+            ones.iter().for_each(|&i| b.set(i));
+            b
+        };
+        let (a, b) = (chain(3, 1, 0), chain(3, 2, 0));
+        for (loose_first, exact_first) in [(true, false), (false, true), (true, true)] {
+            let mut cands = vec![
+                (a.clone(), bits(&[0, 1, 2, 3]), Some(bits(&[0, 1]))),
+                (b.clone(), bits(&[4, 5]), None),
+            ];
+            if !loose_first {
+                cands.reverse();
+            }
+            if exact_first {
+                // a third candidate, tied on its bound but losing on
+                // its exact coverage
+                cands.insert(0, (chain(3, 3, 0), bits(&[6, 7]), Some(bits(&[6]))));
+            }
+            let (lazy, eager) = bounded_and_exact(cands);
+            for count in [1usize, 2, 3] {
+                let ctx =
+                    format!("loose first {loose_first}, exact first {exact_first}, k {count}");
+                assert_lazy_equals_eager(
+                    &lazy,
+                    &eager,
+                    8,
+                    count,
+                    &Budget::unlimited(),
+                    None,
+                    0,
+                    &ctx,
+                );
+            }
+        }
     }
 
     fn swap_set(graphs: Vec<Graph>) -> PatternSet {

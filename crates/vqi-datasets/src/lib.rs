@@ -17,4 +17,4 @@ pub mod molecules;
 pub mod networks;
 
 pub use molecules::{aids_like, pubchem_like, MoleculeParams};
-pub use networks::{dblp_like, social_like, NetworkParams};
+pub use networks::{dblp_like, hub_network, social_like, NetworkParams};

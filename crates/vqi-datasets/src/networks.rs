@@ -77,6 +77,34 @@ pub fn dblp_like(nodes: usize, seed: u64) -> Graph {
     })
 }
 
+/// A 90-node network whose first `hubs` nodes (label 0) hold dense rows
+/// of edge label 0 over a sparse, mostly label-0 background: 3-leaf
+/// stars have tens of thousands of embeddings per hub, past the caps of
+/// a coverage search.
+pub fn hub_network(seed: u64, hubs: u32) -> Graph {
+    let rng = &mut SmallRng::seed_from_u64(seed);
+    let n = 90u32;
+    let mut g = Graph::new();
+    for v in 0..n {
+        let l = if v < hubs || rng.gen_bool(0.7) {
+            0
+        } else {
+            rng.gen_range(1..3)
+        };
+        g.add_node(l);
+    }
+    for _ in 0..2 * n {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        g.add_edge(NodeId(u), NodeId(v), rng.gen_range(0..2));
+    }
+    for h in 0..hubs {
+        for _ in 0..45 {
+            g.add_edge(NodeId(h), NodeId(rng.gen_range(0..n)), 0);
+        }
+    }
+    g
+}
+
 /// A social-network-like graph: bigger hubs, weaker closure.
 pub fn social_like(nodes: usize, seed: u64) -> Graph {
     network(NetworkParams {
