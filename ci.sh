@@ -121,8 +121,10 @@ echo "== incremental consistency suite (delta kernels vs from-scratch) =="
 # build (16 seeds of edge-case batches), and the network maintainer its
 # old rebuild path; the closed-form star coverage must equal an
 # uncapped VF2 enumeration (12 hub-heavy seeds, some of which the capped
-# search truncates), and the network maintainer's per-batch coverage
-# patch a from-scratch `edge_coverage_bitsets` after every batch (12
+# search truncates, plus a star wider than the bounds' u8 tallies, which
+# must not be flagged exact), `edge_coverage_bitsets` the plain capped
+# search on a small network, and the network maintainer's per-batch
+# coverage patch a from-scratch `edge_coverage_bitsets` after every batch (12
 # seeds of minor and major batches with node appends, hub endpoints and
 # a wildcard label entering the network); MIDAS's FCT index must
 # hand out the exact VF2 feature vector of every live graph after every
@@ -136,6 +138,7 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-graph --test properties in_place_edit_and_patched_index_equal_a_rebuild
     VQI_NUM_THREADS=$threads named_test -p tattoo in_place_maintenance_equals_the_rebuild_oracle
     VQI_NUM_THREADS=$threads named_test -p vqi-core star_coverage_equals_uncapped_enumeration
+    VQI_NUM_THREADS=$threads named_test -p vqi-core edge_coverage_bitsets_match_plain_covered_edges
     VQI_NUM_THREADS=$threads named_test -p tattoo patched_coverage_equals_a_fresh_recompute_after_every_batch
     VQI_NUM_THREADS=$threads named_test -p midas cached_census_matches_full_recompute
     VQI_NUM_THREADS=$threads named_test -p midas windowed_drift_escalates_sub_threshold_batches

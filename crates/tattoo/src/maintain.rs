@@ -11,13 +11,15 @@
 //!    nodes and edges, and [`GraphIndex::patch`] moves the network's
 //!    index by the same edit, so the work follows the batch and the
 //!    result equals a rebuild of network and index from scratch;
-//! 2. the coverage bitsets follow the edit. A star pattern (exact
-//!    labels; see [`vqi_graph::star`]) keeps a node bitset of the nodes
-//!    that can host its centre. Per batch its coverage bitset is
-//!    compacted through the removed edge ids and grown by the added
-//!    ones; the centre flag of every touched node is recomputed from
-//!    its row; and only the edges incident to touched nodes (the added
-//!    ones among them) are re-decided. No other edge's coverage can
+//! 2. the coverage bitsets follow the edit. A star pattern (one
+//!    [`coverage_star`] accepts, whose closed-form bound is its exact
+//!    coverage; see [`vqi_graph::star`]) keeps a node bitset of the
+//!    nodes that can host its centre, every flag set by
+//!    [`Star::is_centre`]. Per batch its coverage bitset is compacted
+//!    through the removed edge ids and grown by the added ones; the
+//!    centre flag of every touched node is recomputed; and only the
+//!    edges incident to touched nodes (the added ones among them) are
+//!    re-decided by [`Star::covers`]. No other edge's coverage can
 //!    change. Any other pattern is recomputed over the whole network
 //!    with [`edge_coverage_bitsets`]. Either way the bitsets equal a
 //!    from-scratch [`edge_coverage_bitsets`]. The *churn rate* (changed
@@ -44,7 +46,7 @@ use vqi_core::score::{coverage_star, edge_coverage_bitsets, set_score_bitsets, Q
 use vqi_core::select::{swap_refine, SwapCandidate};
 use vqi_graph::graphlet::{euclidean_distance, CensusMaintainer, GRAPHLET_CLASSES};
 use vqi_graph::index::GraphIndex;
-use vqi_graph::star::{RowTypes, Star};
+use vqi_graph::star::Star;
 use vqi_graph::truss::{TrussDecomposition, TrussMaintainer};
 use vqi_graph::{EdgeDelta, Graph, GraphEdit, NodeId};
 
@@ -191,24 +193,19 @@ impl NetworkMaintainer {
     /// by the rule [`edge_coverage_bitsets`] uses.
     fn refresh_upkeep(&mut self) {
         let net = &self.network;
-        let stars: Vec<Option<Star>> = self
+        self.upkeep = self
             .patterns
             .patterns()
             .iter()
-            .map(|p| coverage_star(&p.graph, &self.network_index))
-            .collect();
-        let rows = stars.iter().any(Option::is_some).then(|| RowTypes::of(net));
-        self.upkeep = stars
-            .into_iter()
-            .map(|star| match (star, &rows) {
-                (Some(star), Some(rows)) => {
+            .map(|p| match coverage_star(&p.graph, &self.network_index) {
+                Some(star) => {
                     let mut centres = BitSet::new(net.node_count());
-                    for x in star.centres(net, rows) {
+                    for x in net.nodes().filter(|&x| star.is_centre(net, x)) {
                         centres.set(x.index());
                     }
                     Upkeep::Star { star, centres }
                 }
-                _ => Upkeep::Search,
+                None => Upkeep::Search,
             })
             .collect();
     }
@@ -678,8 +675,11 @@ mod tests {
                     match upkeep {
                         Upkeep::Star { star, centres } => {
                             assert_eq!(coverage_star(&p.graph, &idx).as_ref(), Some(star));
-                            let rows = RowTypes::of(&m.network);
-                            let want: Vec<NodeId> = star.centres(&m.network, &rows).collect();
+                            let want: Vec<NodeId> = m
+                                .network
+                                .nodes()
+                                .filter(|&x| star.is_centre(&m.network, x))
+                                .collect();
                             let got: Vec<NodeId> =
                                 centres.ones().map(|v| NodeId(v as u32)).collect();
                             assert_eq!(got, want, "{ctx}: centres of pattern {}", p.id.0);

@@ -440,9 +440,10 @@ mod tests {
 
     #[test]
     fn coverage_bounds_contain_every_embedding() {
-        use vqi_core::score::{coverage_match_options, edge_coverage_bounds};
+        use vqi_core::score::{coverage_star, edge_coverage_bitsets};
         use vqi_graph::iso::{covered_edges, MatchOptions};
         use vqi_graph::{NodeId, WILDCARD_LABEL};
+        // the counters read below are process-global
         let _guard = crate::fault_test_lock();
         let uncapped = MatchOptions {
             max_embeddings: usize::MAX,
@@ -469,37 +470,45 @@ mod tests {
             }
             let idx = GraphIndex::build(&net);
             let bounds = edge_coverage_bounds(&cands, &net, &idx, |c| &c.graph);
+            let coverage = edge_coverage_bitsets(&cands, &net, &idx, |c| &c.graph);
             let mut enumerated = 0;
-            for (c, (bound, exact)) in cands.iter().zip(&bounds) {
+            for ((c, (bound, exact)), coverage) in cands.iter().zip(&bounds).zip(&coverage) {
                 let p = &c.graph;
                 let ctx = format!("seed {seed}, {:?} of {} edges", c.class, p.edge_count());
                 let plan = PatternPlan::new(p);
-                let capped = plan.covered_edges(&net, Some(&idx), coverage_match_options());
+                let capped = capped_edge_coverage(p, &net, &idx);
                 let got: Vec<usize> = bound.ones().collect();
+                // the coverage is a star's per-edge rule, and any other
+                // pattern's capped search
+                if let Some(star) = coverage_star(p, &idx) {
+                    let centre: Vec<bool> = net.nodes().map(|x| star.is_centre(&net, x)).collect();
+                    let rule: Vec<usize> = net
+                        .edges()
+                        .filter(|&e| star.covers(&net, e, |x| centre[x.index()]))
+                        .map(|e| e.index())
+                        .collect();
+                    assert_eq!(coverage.ones().collect::<Vec<_>>(), rule, "{ctx}: star");
+                } else {
+                    assert_eq!(*coverage, capped, "{ctx}");
+                }
                 if idx.fingerprint().has_wildcard() {
                     // every bound would be the whole edge set: the
                     // capped coverage comes back instead
                     wild += 1;
-                    let want: Vec<usize> = capped.iter().map(|e| e.index()).collect();
-                    assert!(*exact && got == want, "{ctx}: not the capped coverage");
+                    assert!(*exact && *bound == capped, "{ctx}: not the capped coverage");
                     continue;
                 }
                 assert!(
-                    capped.iter().all(|e| bound.get(e.index())),
+                    capped.ones().all(|e| bound.get(e)),
                     "{ctx}: bound misses an embedding"
                 );
                 if vqi_graph::index::Fingerprint::of(p).has_wildcard() {
                     wild += 1;
                     assert!(!exact, "{ctx}: a wildcard bound claims to be exact");
                 }
+                assert_eq!(*exact, coverage_star(p, &idx).is_some(), "{ctx}");
                 if *exact {
-                    let star = vqi_graph::star::Star::of(p).expect("exact bounds are stars'");
-                    let closed = star.covered_edges(&net, &vqi_graph::star::RowTypes::of(&net));
-                    assert_eq!(
-                        got,
-                        closed.iter().map(|e| e.index()).collect::<Vec<_>>(),
-                        "{ctx}"
-                    );
+                    assert_eq!(bound, coverage, "{ctx}");
                     if p.edge_count() <= 3 && enumerated < 4 {
                         enumerated += 1;
                         let all = covered_edges(p, &net, uncapped);
@@ -523,6 +532,34 @@ mod tests {
                 }
             }
             stars_enumerated += enumerated;
+
+            // a non-star with an empty bound starts no search: a label
+            // the network lacks would trip the fingerprint filter
+            if !idx.fingerprint().has_wildcard() {
+                let mut hopeless: Vec<&Graph> = cands
+                    .iter()
+                    .zip(&bounds)
+                    .filter(|(_, (bound, exact))| !exact && !bound.any())
+                    .map(|(c, _)| &c.graph)
+                    .collect();
+                let absent = cycle(3, 99, 0);
+                hopeless.push(&absent);
+                let iso_counters = || {
+                    let mut c = vqi_observe::snapshot().counters;
+                    c.retain(|k, _| k.starts_with("kernel.iso."));
+                    c
+                };
+                vqi_observe::set_enabled(true);
+                let before = iso_counters();
+                let covered = edge_coverage_bitsets(&hopeless, &net, &idx, |g| *g);
+                let after = iso_counters();
+                capped_edge_coverage(&absent, &net, &idx);
+                let searched = iso_counters();
+                vqi_observe::set_enabled(false);
+                assert!(covered.iter().all(|b| !b.any()), "seed {seed}");
+                assert_eq!(before, after, "seed {seed}: an empty bound was searched");
+                assert_ne!(after, searched, "seed {seed}: the search went uncounted");
+            }
 
             // over these bounds the greedy picks what it picks over the
             // exact coverage

@@ -8,17 +8,19 @@
 //!   repository as possible. For collections we measure the fraction of
 //!   data graphs covered by at least one pattern; for networks the
 //!   fraction of edges touched by some embedding of some pattern.
-//!   Network coverage is exact for stars (every 1- and 2-edge pattern
-//!   is one), which have a closed form ([`vqi_graph::star`]). Every
-//!   other pattern, and a star when the pattern or the network carries
-//!   a wildcard label, is matched by VF2 under
+//!   Network coverage starts from one closed form
+//!   ([`vqi_graph::star::CoverageBounds`], via
+//!   [`edge_coverage_bounds`]): a bound on every pattern's covered
+//!   edges, with no search. It is exact for stars (every 1- and 2-edge
+//!   pattern is one) and empty when no embedding exists; both are
+//!   final. Every other pattern, and any pattern when the pattern or
+//!   the network carries a wildcard label, is matched by VF2 under
 //!   [`coverage_match_options`]' caps; on a hub-heavy network such a
 //!   search can stop early and then reports only the edges of the
 //!   embeddings it reached first (counted as `kernel.iso.truncated`).
-//!   [`edge_coverage_bounds`] bounds any pattern's network coverage in
-//!   closed form from the same star test, without a search. TATTOO
-//!   scores candidates on these bounds and searches only the few that
-//!   can still win a greedy round.
+//!   [`edge_coverage_bitsets`] searches every pattern the bounds leave
+//!   open. TATTOO scores candidates on the bounds and searches only
+//!   the few that can still win a greedy round.
 //! * **diversity** — patterns should be structurally diverse:
 //!   `div(P) = 1 − mean pairwise MCS similarity`.
 //! * **cognitive load** — a per-pattern effort estimate that grows with
@@ -38,8 +40,8 @@ use vqi_graph::canon::{canonical_code, CanonicalCode};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::{is_subgraph_isomorphic, MatchOptions, PatternPlan};
 use vqi_graph::par;
-use vqi_graph::star::{CoverageBounds, RowTypes, Star};
-use vqi_graph::{EdgeId, Graph};
+use vqi_graph::star::{CoverageBounds, Star};
+use vqi_graph::Graph;
 
 /// Matching options used for coverage: non-induced, wildcard-aware (basic
 /// patterns and CSG-derived patterns carry wildcards), bounded.
@@ -213,10 +215,12 @@ pub fn coverage_bitsets<T: Sync>(
     })
 }
 
-/// The closed form that decides `pattern`'s edge coverage on the
-/// network `idx` indexes, if it has one: an exact-label star on a
-/// network without wildcard labels. [`edge_coverage_bitsets`] and the
-/// TATTOO network maintainer route patterns by this one rule.
+/// The closed form of `pattern`'s edge coverage on the network `idx`
+/// indexes, if it has one: a star [`Star::of`] accepts, on a network
+/// without wildcard labels. These are the patterns whose
+/// [`CoverageBounds`] bound is exact, so the TATTOO network maintainer,
+/// which patches such a star's coverage per edge, routes by the rule
+/// [`edge_coverage_bitsets`] follows.
 pub fn coverage_star(pattern: &Graph, idx: &GraphIndex) -> Option<Star> {
     if idx.fingerprint().has_wildcard() {
         return None;
@@ -226,46 +230,45 @@ pub fn coverage_star(pattern: &Graph, idx: &GraphIndex) -> Option<Star> {
 
 /// Covered-edge bitsets of `patterns` over `network`: bit `e` of
 /// `out[k]` is set iff some embedding of `patterns[k]` uses edge `e`.
-/// This is exact for the patterns [`coverage_star`] accepts (stars,
-/// decided in O(V + E) with no search). Any other pattern is matched
-/// by [`capped_edge_coverage`], whose caps can stop the search early:
-/// the bitset then holds the edges of the embeddings visited first, a
-/// prefix of the answer, and `kernel.iso.truncated` counts the cut.
-/// `idx` must be built from this exact `network`; it serves every
-/// search.
+/// Each pattern is first bounded by [`edge_coverage_bounds`]. An exact
+/// bound (a star, decided in O(V + E) with no search) is the answer,
+/// and so is an empty one, which proves that no embedding exists. Any
+/// other pattern is matched by [`capped_edge_coverage`], whose caps can
+/// stop the search early: the bitset then holds the edges of the
+/// embeddings visited first, a prefix of the answer, and
+/// `kernel.iso.truncated` counts the cut. `idx` must be built from
+/// this exact `network`; it serves every search.
 pub fn edge_coverage_bitsets<T: Sync>(
     patterns: &[T],
     network: &Graph,
     idx: &GraphIndex,
     pattern: impl Fn(&T) -> &Graph + Sync,
 ) -> Vec<BitSet> {
-    let jobs: Vec<(&Graph, Option<Star>)> = patterns
-        .iter()
-        .map(|item| {
-            let p = pattern(item);
-            (p, coverage_star(p, idx))
-        })
-        .collect();
-    // the stars share one read of every row's neighbour types
-    let rows = jobs
-        .iter()
-        .any(|(_, star)| star.is_some())
-        .then(|| RowTypes::of(network));
-    par::map(&jobs, |(p, star)| match (star, &rows) {
-        (Some(star), Some(rows)) => edge_bits(network, star.covered_edges(network, rows)),
-        _ => capped_edge_coverage(p, network, idx),
-    })
+    let bounds = edge_coverage_bounds(patterns, network, idx, &pattern);
+    let searched = par::map_range(patterns.len(), |k| {
+        let (bound, exact) = &bounds[k];
+        (!exact && bound.any()).then(|| capped_edge_coverage(pattern(&patterns[k]), network, idx))
+    });
+    bounds
+        .into_iter()
+        .zip(searched)
+        .map(|((bound, _), searched)| searched.unwrap_or(bound))
+        .collect()
 }
 
 /// The covered-edge bitset of `pattern` over `network` from a VF2
 /// search under [`coverage_match_options`]: what
-/// [`edge_coverage_bitsets`] reports for a pattern [`coverage_star`]
-/// refuses. A search the caps stop early yields the edges of the
-/// embeddings it reached first and counts `kernel.iso.truncated`.
+/// [`edge_coverage_bitsets`] reports for a pattern whose bound is
+/// neither exact nor empty. A search the caps stop early yields the
+/// edges of the embeddings it reached first and counts
+/// `kernel.iso.truncated`.
 pub fn capped_edge_coverage(pattern: &Graph, network: &Graph, idx: &GraphIndex) -> BitSet {
-    let covered =
-        PatternPlan::new(pattern).covered_edges(network, Some(idx), coverage_match_options());
-    edge_bits(network, covered)
+    let plan = PatternPlan::new(pattern);
+    let mut bits = BitSet::new(network.edge_count());
+    for e in plan.covered_edges(network, Some(idx), coverage_match_options()) {
+        bits.set(e.index());
+    }
+    bits
 }
 
 /// Upper bounds on the covered-edge bitsets of `patterns` over
@@ -273,14 +276,14 @@ pub fn capped_edge_coverage(pattern: &Graph, network: &Graph, idx: &GraphIndex) 
 /// every edge that some embedding of `patterns[k]` can use (the
 /// star-consistency bound of [`CoverageBounds`]), so it contains what
 /// [`edge_coverage_bitsets`] reports, whether or not the search is
-/// capped. It is empty only if no embedding exists. `out[k].1` is true
-/// when the bound equals that report, as it does for every pattern
-/// [`coverage_star`] accepts. The bounds cost one pass over the
-/// network's rows and a scan of each pattern's edge types, with no
-/// search. On a network carrying a wildcard label every bound would be
-/// the whole edge set, so there the answers of
-/// [`edge_coverage_bitsets`] come back instead, each flagged exact.
-/// `idx` must be built from this exact `network`.
+/// capped. It is empty only if no embedding exists. `out[k].1` is
+/// [`CoverageBounds::is_exact`]: true when the bound equals that
+/// report, as it does for every pattern [`coverage_star`] accepts. The
+/// bounds cost one pass over the network's rows and a scan of each
+/// pattern's edge types, with no search. On a network carrying a
+/// wildcard label every bound would be the whole edge set, so there
+/// each pattern's [`capped_edge_coverage`] comes back instead, flagged
+/// exact. `idx` must be built from this exact `network`.
 pub fn edge_coverage_bounds<T: Sync>(
     patterns: &[T],
     network: &Graph,
@@ -288,23 +291,15 @@ pub fn edge_coverage_bounds<T: Sync>(
     pattern: impl Fn(&T) -> &Graph + Sync,
 ) -> Vec<(BitSet, bool)> {
     if idx.fingerprint().has_wildcard() {
-        let exact = edge_coverage_bitsets(patterns, network, idx, pattern);
-        return exact.into_iter().map(|bits| (bits, true)).collect();
+        return par::map(patterns, |item| {
+            (capped_edge_coverage(pattern(item), network, idx), true)
+        });
     }
     let bounds = CoverageBounds::new(network, idx, patterns.iter().map(&pattern));
     par::map_range(patterns.len(), |k| {
         let bits = BitSet::from_words(network.edge_count(), bounds.bound_words(k));
-        (bits, coverage_star(pattern(&patterns[k]), idx).is_some())
+        (bits, bounds.is_exact(k))
     })
-}
-
-/// `edges` of `network` as a bitset over its edge ids.
-fn edge_bits(network: &Graph, edges: Vec<EdgeId>) -> BitSet {
-    let mut bits = BitSet::new(network.edge_count());
-    for e in edges {
-        bits.set(e.index());
-    }
-    bits
 }
 
 /// Fraction of live collection graphs containing `p`.
@@ -560,6 +555,15 @@ mod tests {
         // the capped search stops early on some of these stars: the
         // closed form is what makes them exact
         assert!(truncated > 0, "no capped search truncated in {cases} cases");
+        // more leaves of one type than the bounds' `u8` tallies count: no
+        // 300-leaf star fits a 260-leaf hub, though a saturated tally
+        // lets the hub host it
+        let (wide, hub) = (star(300, 1, 0), star(260, 1, 0));
+        let idx = GraphIndex::build(&hub);
+        assert!(vqi_graph::iso::covered_edges(&wide, &hub, uncapped).is_empty());
+        assert!(!edge_coverage_bitsets(&[&wide], &hub, &idx, |p| *p)[0].any());
+        let (bound, exact) = &edge_coverage_bounds(&[&wide], &hub, &idx, |p| *p)[0];
+        assert!(!exact, "{} edges flagged exact", bound.count_ones());
         // a wildcard label on either side sends a star to the search
         let mut wild = vqi_datasets::hub_network(1, 1);
         wild.add_node(vqi_graph::WILDCARD_LABEL);

@@ -14,29 +14,36 @@
 //! leaves are filled from the other neighbours; a neighbour has exactly
 //! one type, and distinct neighbours are distinct nodes. Every star
 //! edge meets the centre, so no embedding covers `(x, y)` otherwise.
-//! Coverage therefore costs O(V + E) per star, where a VF2 enumeration
-//! visits up to `degree^leaves` embeddings per hub.
-//!
-//! Whether `x` is a centre reads only `x`'s label and row. So after an
-//! edit, only the edited endpoints' centre flags can change, and only
-//! the edges incident to them can change coverage: the patch the TATTOO
-//! network maintainer applies per batch.
-//!
-//! [`Star::of`] refuses patterns carrying
-//! [`WILDCARD_LABEL`]; under wildcard matching a network carrying it
-//! needs the search too, which is the caller's check.
 //!
 //! The same centre test bounds the coverage of any pattern: every
 //! pattern node with its neighbours is a star, and an embedding must
-//! map it onto a node that can host that star. [`CoverageBounds`]
-//! decides, for many patterns at once, which edges can fit a pattern
-//! edge between two such hosts: a superset of the coverage that equals
-//! it for stars and is empty when no embedding exists.
+//! map it onto a node that can host that star. [`CoverageBounds`] is
+//! the one network-wide decision: for many patterns at once, in
+//! O(V + E) plus a scan of each pattern's edge types, it finds the
+//! edges that can fit a pattern edge between two such hosts. That is
+//! a superset of the coverage, empty when no embedding exists, and
+//! equal to the coverage for a star, where a VF2 enumeration visits up
+//! to `degree^leaves` embeddings per hub.
+//!
+//! Whether `x` is a centre reads only `x`'s label and row. So after an
+//! edit, only the edited endpoints' centre flags can change, and only
+//! the edges incident to them can change coverage. [`Star::is_centre`]
+//! and [`Star::covers`] decide one node and one edge: the patch the
+//! TATTOO network maintainer applies per batch.
+//!
+//! [`Star::of`] refuses patterns carrying [`WILDCARD_LABEL`]; under
+//! wildcard matching a network carrying it needs the search too, which
+//! [`CoverageBounds`] checks and a caller of [`Star::of`] must.
 
 use crate::graph::{EdgeId, Graph, Label, NodeId, WILDCARD_LABEL};
 use crate::index::GraphIndex;
 use crate::par;
 use std::collections::HashMap;
+
+/// The most leaves of one type a [`Star`] may have: [`CoverageBounds`]
+/// tallies neighbours in `u8` counts that saturate here, and a tally of
+/// `u8::MAX` still proves at least that many neighbours.
+const MAX_LEAVES_OF_A_TYPE: u32 = u8::MAX as u32;
 
 /// An exact-label star pattern: its centre label and its leaf types
 /// with their multiplicities.
@@ -52,16 +59,19 @@ pub struct Star {
 
 impl Star {
     /// The star shape of `pattern`, or `None` when `pattern` has no
-    /// edge, is not a star, or carries a wildcard label.
+    /// edge, is not a star, carries a wildcard label, or has more than
+    /// 255 leaves of one type (more than [`CoverageBounds`] counts).
     pub fn of(pattern: &Graph) -> Option<Star> {
         let size = pattern.edge_count();
-        if size == 0 || pattern.node_count() != size + 1 {
+        if size == 0 || pattern.node_count() != size + 1 || carries_wildcard(pattern) {
             return None;
         }
         // a node meeting all `size` edges has `size` distinct neighbours,
         // which with it are every node: the pattern is a star around it
         let centre = pattern.nodes().find(|&v| pattern.degree(v) == size)?;
-        (!carries_wildcard(pattern)).then(|| Star::around(pattern, centre))
+        let star = Star::around(pattern, centre);
+        let countable = star.leaves.iter().all(|&(_, n)| n <= MAX_LEAVES_OF_A_TYPE);
+        countable.then_some(star)
     }
 
     /// The star of node `a` of `pattern`: `a` with its neighbours.
@@ -95,22 +105,17 @@ impl Star {
             .position(|&(t, _)| t == (edge_label, node_label))
     }
 
-    /// True if a node labelled `label` whose row has the neighbour
-    /// types `row` can host the centre; `need` is a tally buffer.
-    fn hosts(
-        &self,
-        label: Label,
-        row: impl ExactSizeIterator<Item = (Label, Label)>,
-        need: &mut Vec<u32>,
-    ) -> bool {
-        if label != self.centre || row.len() < self.size {
+    /// True if `x` can host the centre of an embedding: it carries the
+    /// centre label and its row holds every leaf, type by type.
+    pub fn is_centre(&self, g: &Graph, x: NodeId) -> bool {
+        let row = g.neighbor_slice(x);
+        if g.node_label(x) != self.centre || row.len() < self.size {
             return false;
         }
-        need.clear();
-        need.extend(self.leaves.iter().map(|&(_, n)| n));
+        let mut need: Vec<u32> = self.leaves.iter().map(|&(_, n)| n).collect();
         let mut missing = self.size;
-        for (el, nl) in row {
-            if let Some(i) = self.leaf_type(el, nl) {
+        for &(y, e) in row {
+            if let Some(i) = self.leaf_type(g.edge_label(e), g.node_label(y)) {
                 if need[i] > 0 {
                     need[i] -= 1;
                     missing -= 1;
@@ -123,102 +128,26 @@ impl Star {
         false
     }
 
-    /// True if `x` can host the centre of an embedding: it carries the
-    /// centre label and its row holds every leaf, type by type.
-    pub fn is_centre(&self, g: &Graph, x: NodeId) -> bool {
-        let row = g
-            .neighbor_slice(x)
-            .iter()
-            .map(|&(y, e)| (g.edge_label(e), g.node_label(y)));
-        self.hosts(g.node_label(x), row, &mut Vec::new())
-    }
-
-    /// The nodes of `g` that can host the centre, ascending; `rows`
-    /// must be [`RowTypes::of`] this `g`.
-    pub fn centres<'a>(
-        &'a self,
-        g: &'a Graph,
-        rows: &'a RowTypes,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        let mut need = Vec::with_capacity(self.leaves.len());
-        g.nodes()
-            .filter(move |&x| self.hosts(g.node_label(x), rows.row(x).iter().copied(), &mut need))
-    }
-
     /// True if some embedding uses edge `e`, given which nodes are
     /// centres (`centre`, as [`is_centre`](Self::is_centre) decides it
     /// on `g`).
+    ///
+    /// ```
+    /// use vqi_graph::generate::{chain, star};
+    /// use vqi_graph::star::Star;
+    ///
+    /// // a 3-leaf star fits only at the hub of a 4-leaf star
+    /// let s = Star::of(&star(3, 1, 0)).unwrap();
+    /// let hub = star(4, 1, 0);
+    /// assert!(hub.edges().all(|e| s.covers(&hub, e, |x| s.is_centre(&hub, x))));
+    /// let path = chain(5, 1, 0);
+    /// assert!(!path.edges().any(|e| s.covers(&path, e, |x| s.is_centre(&path, x))));
+    /// ```
     pub fn covers(&self, g: &Graph, e: EdgeId, centre: impl Fn(NodeId) -> bool) -> bool {
         let (u, v) = g.endpoints(e);
         let l = g.edge_label(e);
         (centre(u) && self.leaf_type(l, g.node_label(v)).is_some())
             || (centre(v) && self.leaf_type(l, g.node_label(u)).is_some())
-    }
-
-    /// The edge ids of `g` used by some embedding, ascending: the exact
-    /// answer an uncapped [`PatternPlan::covered_edges`] gives. `rows`
-    /// must be [`RowTypes::of`] this `g`.
-    ///
-    /// [`PatternPlan::covered_edges`]: crate::iso::PatternPlan::covered_edges
-    ///
-    /// ```
-    /// use vqi_graph::generate::{chain, star};
-    /// use vqi_graph::star::{RowTypes, Star};
-    ///
-    /// // a 3-leaf star fits only at the hub of a 4-leaf star
-    /// let s = Star::of(&star(3, 1, 0)).unwrap();
-    /// let hub = star(4, 1, 0);
-    /// assert_eq!(s.covered_edges(&hub, &RowTypes::of(&hub)).len(), 4);
-    /// let path = chain(5, 1, 0);
-    /// assert!(s.covered_edges(&path, &RowTypes::of(&path)).is_empty());
-    /// ```
-    pub fn covered_edges(&self, g: &Graph, rows: &RowTypes) -> Vec<EdgeId> {
-        // only a centre's row can hold covered edges
-        let mut covered = Vec::new();
-        for x in self.centres(g, rows) {
-            for (&(_, e), &(el, nl)) in g.neighbor_slice(x).iter().zip(rows.row(x)) {
-                if self.leaf_type(el, nl).is_some() {
-                    covered.push(e);
-                }
-            }
-        }
-        covered.sort_unstable();
-        covered.dedup();
-        covered
-    }
-}
-
-/// The neighbour type `(edge label, node label)` of every adjacency
-/// entry of one graph, row by row in [`Graph::neighbor_slice`] order.
-/// Built once and shared by every star matched against the graph, so
-/// a centre test scans a packed row instead of looking up each
-/// neighbour's edge and node labels.
-#[derive(Debug, Clone)]
-pub struct RowTypes {
-    /// Row `x` is `types[start[x]..start[x + 1]]`.
-    start: Vec<usize>,
-    types: Vec<(Label, Label)>,
-}
-
-impl RowTypes {
-    /// The row types of `g`.
-    pub fn of(g: &Graph) -> RowTypes {
-        let mut start = Vec::with_capacity(g.node_count() + 1);
-        let mut types = Vec::with_capacity(2 * g.edge_count());
-        start.push(0);
-        for x in g.nodes() {
-            types.extend(
-                g.neighbor_slice(x)
-                    .iter()
-                    .map(|&(y, e)| (g.edge_label(e), g.node_label(y))),
-            );
-            start.push(types.len());
-        }
-        RowTypes { start, types }
-    }
-
-    fn row(&self, x: NodeId) -> &[(Label, Label)] {
-        &self.types[self.start[x.index()]..self.start[x.index() + 1]]
     }
 }
 
@@ -235,15 +164,19 @@ impl RowTypes {
 /// edges this way:
 ///
 /// * it holds every edge some embedding uses;
-/// * for a star it *is* the coverage: where the centre end hosts the
-///   whole star, the leaf end hosts its one-edge star;
+/// * for a pattern [`Star::of`] accepts it *is* the coverage: where the
+///   centre end hosts the whole star, the leaf end hosts its one-edge
+///   star. [`CoverageBounds::is_exact`] says so, and no other pattern's
+///   bound claims to be exact;
 /// * a pattern with a node that no network node hosts has no
 ///   embedding, and its bound is empty.
 ///
 /// Building the bounds tallies every node's neighbours once, by the
-/// types the patterns' stars use (`u8` counts, which saturate harmlessly
-/// at the largest leaf count a star can ask for), and derives the host
-/// set of each distinct star from the tallies. A pattern's bound then
+/// types the patterns' stars use, and derives the host set of each
+/// distinct star from the tallies. The tallies are `u8` counts that
+/// saturate at 255, so a star asking for more leaves of one type is
+/// tested for 255 of them: its hosts, and the bound, only grow, and
+/// [`Star::of`] refuses such a star. A pattern's bound then
 /// scans only the network edges of its own edge types. With a wildcard
 /// label in the network or the pattern, labels no longer decide which
 /// nodes host a star, and the pattern's bound falls back to every edge.
@@ -256,6 +189,8 @@ pub struct CoverageBounds {
     /// Per pattern, its distinct edge classes `(bucket, star, star)`;
     /// `None` when its bound is every edge.
     classes: Vec<Option<Vec<(usize, usize, usize)>>>,
+    /// Per pattern, whether its bound is its coverage.
+    exact: Vec<bool>,
     /// The edges with their endpoints, ascending, of each edge type
     /// ([`edge_type`]) some class asks for.
     buckets: Vec<Vec<(EdgeId, NodeId, NodeId)>>,
@@ -276,7 +211,9 @@ impl CoverageBounds {
         // `(edge type, star, star)`
         type Shape = (Vec<usize>, Vec<((Label, Label, Label), usize, usize)>);
         let mut shapes: Vec<Option<Shape>> = Vec::new();
+        let mut exact = Vec::new();
         for p in patterns {
+            exact.push(!wild_network && Star::of(p).is_some());
             if wild_network || carries_wildcard(p) {
                 shapes.push(None);
                 continue;
@@ -336,7 +273,7 @@ impl CoverageBounds {
                     let t = leaf_types
                         .binary_search(&t)
                         .expect("every leaf type is tallied");
-                    (t, n.min(u8::MAX as u32) as u8)
+                    (t, n.min(MAX_LEAVES_OF_A_TYPE) as u8)
                 })
                 .collect();
             let mut bits = vec![0u64; g.node_count().div_ceil(64)];
@@ -395,8 +332,16 @@ impl CoverageBounds {
             edges: g.edge_count(),
             hosts,
             classes,
+            exact,
             buckets,
         }
+    }
+
+    /// True if the bound of pattern `k` is its exact coverage: the
+    /// pattern is one [`Star::of`] accepts and the network carries no
+    /// wildcard label.
+    pub fn is_exact(&self, k: usize) -> bool {
+        self.exact[k]
     }
 
     /// The bound of pattern `k` (in the order [`CoverageBounds::new`]
@@ -465,6 +410,9 @@ mod tests {
         // a wildcard anywhere sends the pattern to the search
         assert!(Star::of(&star(2, WILDCARD_LABEL, 0)).is_none());
         assert!(Star::of(&star(2, 1, WILDCARD_LABEL)).is_none());
+        // so does a type with more leaves than the bounds' tallies count
+        assert!(Star::of(&star(255, 1, 0)).is_some());
+        assert!(Star::of(&star(256, 1, 0)).is_none());
     }
 
     #[test]
@@ -485,12 +433,10 @@ mod tests {
             .edge(0, 3, 5)
             .build();
         let s = Star::of(&want).unwrap();
-        let rows = RowTypes::of(&g);
-        assert_eq!(s.centres(&g, &rows).collect::<Vec<_>>(), vec![NodeId(0)]);
-        assert!(s.is_centre(&g, NodeId(0)) && !s.is_centre(&g, NodeId(4)));
+        let centres: Vec<NodeId> = g.nodes().filter(|&x| s.is_centre(&g, x)).collect();
+        assert_eq!(centres, vec![NodeId(0)]);
         // the hub's three edges are covered, the spur 3-4 is not
-        let got: Vec<u32> = s.covered_edges(&g, &rows).iter().map(|e| e.0).collect();
-        assert_eq!(got, vec![0, 1, 2]);
+        assert_eq!(covered(&s, &g), vec![0, 1, 2]);
         // three label-2 leaves are more than the hub holds
         let three = GraphBuilder::new()
             .nodes(&[1, 2, 2, 2])
@@ -500,7 +446,15 @@ mod tests {
             .build();
         let s3 = Star::of(&three).unwrap();
         assert!(!s3.is_centre(&g, NodeId(0)));
-        assert!(s3.covered_edges(&g, &rows).is_empty());
+        assert!(covered(&s3, &g).is_empty());
+    }
+
+    /// The edges of `g` that `s` covers by the per-edge rule, as ids.
+    fn covered(s: &Star, g: &Graph) -> Vec<u32> {
+        g.edges()
+            .filter(|&e| s.covers(g, e, |x| s.is_centre(g, x)))
+            .map(|e| e.0)
+            .collect()
     }
 
     /// The bound of each of `patterns` over `g`, as edge ids.
@@ -540,13 +494,7 @@ mod tests {
         let (tri, path, absent) = (cycle(3, 1, 0), chain(4, 1, 0), chain(3, 9, 0));
         let got = bounds(&g, &[&hub, &tri, &path, &absent]);
         // a star's bound is its coverage
-        let s = Star::of(&hub).unwrap();
-        let want: Vec<u32> = s
-            .covered_edges(&g, &RowTypes::of(&g))
-            .iter()
-            .map(|e| e.0)
-            .collect();
-        assert_eq!(got[0], want);
+        assert_eq!(got[0], covered(&Star::of(&hub).unwrap(), &g));
         assert_eq!(got[0], vec![5, 6, 7]);
         // every triangle node needs two label-1 neighbours over label 0:
         // nodes 0..=3 host it (3 through 2 and 4), so the spur 2-3 fits
@@ -575,5 +523,6 @@ mod tests {
         let long = chain(70, 1, 0);
         let b = CoverageBounds::new(&wild_net, &GraphIndex::build(&wild_net), [&long]);
         assert_eq!(b.bound_words(0), vec![0b1111]);
+        assert!(!b.is_exact(0));
     }
 }
