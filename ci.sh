@@ -90,10 +90,13 @@ echo "== thread-count invariance (parallel kernels vs sequential references) =="
 # count, so run the consistency tests twice with pinned defaults; the
 # occurrence-driven subtree miner is checked against its
 # generate-and-test oracle, the shared swap refiner against its
-# per-pair reference loop, the lazy greedy (exact coverage searched
-# only where a bound can still win) against the eager loop over exact
-# coverage, and TATTOO's closed-form coverage bounds against the
-# capped and uncapped searches they must contain, at both counts
+# per-pair reference loop (over bounded and exact candidates), the lazy
+# greedy (exact coverage searched only where a bound can still win)
+# against the eager loop over exact coverage, TATTOO's closed-form
+# coverage bounds against the capped and uncapped searches they must
+# contain, and the network maintainer's Major batches (same reports and
+# searches at caps 1 and 4, fewer searches than inexact bounds), at
+# both counts
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
     VQI_NUM_THREADS=$threads named_test -p vqi-graph parallel_counts_match_reference_across_thread_counts
@@ -105,6 +108,7 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-core refiner_matches_the_reference_swap_loop
     VQI_NUM_THREADS=$threads named_test -p vqi-core lazy_greedy_equals_the_eager_loop
     VQI_NUM_THREADS=$threads named_test -p tattoo coverage_bounds_contain_every_embedding
+    VQI_NUM_THREADS=$threads named_test -p tattoo maintainer_swaps_resolve_only_candidates_that_can_win
     VQI_NUM_THREADS=$threads named_test -p catapult selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p tattoo selection_is_identical_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p midas maintenance_is_identical_across_thread_counts
@@ -148,11 +152,13 @@ done
 echo "== storage-equivalence suite (heap vs CSR backends, bit-identical) =="
 # every large-network kernel must produce the same bits on the heap
 # Graph and the packed CsrGraph: the vqi-graph property tests sweep 12
-# seeds at caps 1/2/4 (trussness + census), the tattoo tests do the
-# same for the sharded selection and check the sharded coverage on both
-# backends (equal to whole-network `edge_coverage_bitsets` wherever that
-# is exact), and the image round trip must
-# preserve the digest — run the suite at one and four workers
+# seeds at caps 1/2/4 (trussness + census), the heap copy the sharded
+# score phase matches against must keep the network's ids and edge order
+# on both backends, the tattoo tests do the same for the sharded
+# selection and check that every sharded coverage, on both backends,
+# equals whole-network `edge_coverage_bitsets` (capped searches
+# included), and the image round trip must preserve the digest — run the
+# suite at one and four workers
 for threads in 1 4; do
     echo "-- VQI_NUM_THREADS=$threads"
     VQI_NUM_THREADS=$threads named_test -p vqi-graph storage_
@@ -170,6 +176,7 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p catapult -p tattoo -p midas -p vqi-modular fail_fast
     VQI_NUM_THREADS=$threads named_test -p tattoo crashed_shards_are_retried_to_a_complete_result
     VQI_NUM_THREADS=$threads named_test -p tattoo exhausted_retries_drop_shards_deterministically
+    VQI_NUM_THREADS=$threads named_test -p tattoo a_panicked_score_phase_is_retried_or_recorded
     VQI_NUM_THREADS=$threads named_test -p midas failed_census_keeps_previous_gfd_and_skips_maintenance
 done
 

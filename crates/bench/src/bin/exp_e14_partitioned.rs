@@ -12,7 +12,6 @@
 use bench::{
     enable_metrics, print_cache_stats, print_table, timed_ms, write_json, write_metrics_json,
 };
-use tattoo::select::greedy_select;
 use tattoo::{ShardedTattoo, Tattoo, TattooConfig};
 use vqi_core::budget::PatternBudget;
 use vqi_core::repo::GraphRepository;
@@ -61,8 +60,7 @@ fn main() {
             sel.map_candidates(&net, &budget)
         });
         let (set, reduce_ms) = timed_ms(&format!("e14.reduce.x{parts}"), || {
-            let scored = sel.score_over_shards(&net, cands);
-            greedy_select(scored, net.edge_count(), &budget, w)
+            sel.reduce(&net, cands, &budget)
         });
         let q = evaluate(&set, &repo, w);
         rows.push(Row {

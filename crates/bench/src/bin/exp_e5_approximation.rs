@@ -14,6 +14,7 @@ use tattoo::select::{
 use vqi_core::budget::PatternBudget;
 use vqi_core::score::QualityWeights;
 use vqi_datasets::dblp_like;
+use vqi_graph::index::GraphIndex;
 
 vqi_observe::json_record! {
     struct Row {
@@ -45,7 +46,8 @@ fn main() {
             &mut rng,
         );
         cands.truncate(10); // keep the exhaustive search tractable
-        let bounded = score_candidates(cands, &net);
+        let index = GraphIndex::build(&net);
+        let bounded = score_candidates(cands, &net, &index);
         if bounded.len() < 4 {
             continue;
         }

@@ -12,7 +12,7 @@ use vqi_core::ctrl::{run_stage, Budget, Degradation, PipelineOutcome};
 use vqi_core::pattern::PatternSet;
 use vqi_core::repo::{BatchUpdate, GraphCollection};
 use vqi_core::score::{coverage_bitsets, QualityWeights};
-use vqi_core::select::{swap_refine, SwapCandidate, SwapStats};
+use vqi_core::select::{swap_refine, Scored, SwapStats};
 use vqi_graph::graphlet::{
     count_graphlets_ctrl, euclidean_distance, GraphletCounts, GRAPHLET_CLASSES,
 };
@@ -604,11 +604,8 @@ impl Midas {
                 .into_iter()
                 .zip(coverages)
                 .filter(|(_, coverage)| coverage.any())
-                .map(|(c, coverage)| SwapCandidate {
-                    graph: c.graph,
-                    coverage,
-                })
-                .collect::<Vec<SwapCandidate>>()
+                .map(|(c, coverage)| Scored::new(c.graph, c.code, coverage, "midas:swap".into()))
+                .collect::<Vec<Scored>>()
         }) {
             Ok(cands) => cands,
             Err(e) => {
@@ -640,7 +637,6 @@ impl Midas {
                     self.config.swap_scans,
                     self.config.weights,
                     "midas.swap",
-                    "midas:swap",
                 )
             }
             Err(e) => {

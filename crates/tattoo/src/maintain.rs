@@ -25,25 +25,33 @@
 //!    from-scratch [`edge_coverage_bitsets`]. The *churn rate* (changed
 //!    edges / current edges) plays the role of MIDAS's GFD drift: below
 //!    the threshold the modification is minor and the patterns stay;
-//! 3. on a major modification, fresh candidates are extracted **only
-//!    from the touched region** — the induced subgraph within one hop of
-//!    any endpoint of a changed edge, split by local trussness — rather
-//!    than from the whole network;
-//! 4. the swap refiner MIDAS also uses
+//! 3. on a major modification, the *touched region* is the induced
+//!    subgraph within one hop of any endpoint of a changed edge;
+//! 4. fresh candidates are extracted **only from the touched region**,
+//!    split by the maintained trussness, rather than from the whole
+//!    network;
+//! 5. the candidates are bounded over the whole network by
+//!    [`score_candidates`], as whole-network TATTOO bounds its own, and
+//!    the swap refiner MIDAS also uses
 //!    ([`vqi_core::select::swap_refine`], here over edge ids) replaces
 //!    existing patterns when that keeps the covered-edge union and
-//!    strictly improves the pattern-set score, so the maintained set
-//!    never scores worse than the stale one.
+//!    strictly improves the pattern-set score. The refiner tests each
+//!    candidate on its bound and runs the capped coverage search only
+//!    for one whose bound could win a swap
+//!    (`tattoo.maintain.swap.searched`), so the maintained set never
+//!    scores worse than the stale one, and a Major batch searches a
+//!    handful of candidates instead of every one.
 
 use crate::candidates::{extract_from_region, ExtractParams};
 use crate::pipeline::TattooConfig;
+use crate::select::score_candidates;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vqi_core::bitset::BitSet;
 use vqi_core::budget::PatternBudget;
 use vqi_core::pattern::PatternSet;
 use vqi_core::score::{coverage_star, edge_coverage_bitsets, set_score_bitsets, QualityWeights};
-use vqi_core::select::{swap_refine, SwapCandidate};
+use vqi_core::select::swap_refine;
 use vqi_graph::graphlet::{euclidean_distance, CensusMaintainer, GRAPHLET_CLASSES};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::star::Star;
@@ -388,19 +396,10 @@ impl NetworkMaintainer {
         cands.retain(|c| !self.patterns.contains_isomorphic(&c.graph));
         let n_cands = cands.len();
 
-        // 5. coverage of candidates over the WHOLE network, then the
-        // shared swap refiner over edge ids
-        let bits_per_cand =
-            edge_coverage_bitsets(&cands, &self.network, &self.network_index, |c| &c.graph);
-        let pool: Vec<SwapCandidate> = cands
-            .into_iter()
-            .zip(bits_per_cand)
-            .filter(|(_, bits)| bits.any())
-            .map(|(c, coverage)| SwapCandidate {
-                graph: c.graph,
-                coverage,
-            })
-            .collect();
+        // 5. candidates bounded over the WHOLE network, then the shared
+        // swap refiner over edge ids, which searches only those that can
+        // win a swap
+        let pool = score_candidates(cands, &self.network, &self.network_index);
         let stats = swap_refine(
             &mut self.patterns,
             &mut self.bitsets,
@@ -408,7 +407,6 @@ impl NetworkMaintainer {
             self.config.swap_scans,
             self.config.weights,
             "tattoo.maintain.swap",
-            "tattoo:maintain",
         );
         if stats.swaps > 0 {
             self.refresh_upkeep();
@@ -742,8 +740,6 @@ mod tests {
         let stale_patterns = m.patterns.clone();
         // big structural injection: several stars worth ~10% churn
         let mut batch = star_batch(&m, 9, 30);
-        let extra = star_batch(&m, 9, 0); // no-op filler to keep types simple
-        let _ = extra;
         for i in 0..30u32 {
             // wire some leaves together for cycles
             if i + 1 < 30 {
@@ -772,6 +768,68 @@ mod tests {
             "maintained {:.4} < stale {:.4}",
             m.score(),
             stale_score
+        );
+    }
+
+    /// The drift batch of `exp_e11_network_maintenance`: appended hubs
+    /// labelled `label`, each wired to six leaves that form a path, up
+    /// to at least `edges` new edges.
+    fn drift_batch(net: &Graph, edges: usize, label: Label) -> EdgeBatch {
+        let mut batch = EdgeBatch::default();
+        let mut hub = net.node_count() as u32;
+        while batch.edge_additions.len() < edges {
+            batch.node_additions.extend([label; 7]);
+            let leaves = hub + 1..hub + 7;
+            batch
+                .edge_additions
+                .extend(leaves.clone().map(|l| (hub, l, 0)));
+            batch
+                .edge_additions
+                .extend(leaves.skip(1).map(|l| (l - 1, l, 0)));
+            hub += 7;
+        }
+        batch
+    }
+
+    #[test]
+    fn maintainer_swaps_resolve_only_candidates_that_can_win() {
+        let _guard = crate::fault_test_lock();
+        // per Major batch: the report, the candidates the swap refiner
+        // searched, and the kept candidates whose bound is not exact
+        let run = |cap: usize| {
+            let mut m = bootstrap(400, 99);
+            vqi_graph::par::set_thread_cap(cap);
+            vqi_observe::set_enabled(true);
+            let mut out = Vec::new();
+            for (i, churn) in [0.05, 0.10, 0.05].into_iter().enumerate() {
+                let edges = (m.network.edge_count() as f64 * churn) as usize;
+                let batch = drift_batch(&m.network, edges, 20 + i as Label);
+                let before = vqi_observe::snapshot().counters;
+                let report = m.apply_batch(batch);
+                let after = vqi_observe::snapshot().counters;
+                let delta = |k: &str| {
+                    after.get(k).copied().unwrap_or(0) - before.get(k).copied().unwrap_or(0)
+                };
+                assert_eq!(report.modification, NetworkModification::Major);
+                out.push((
+                    report,
+                    delta("tattoo.maintain.swap.searched"),
+                    delta("tattoo.score.inexact"),
+                ));
+            }
+            vqi_observe::set_enabled(false);
+            vqi_graph::par::set_thread_cap(0);
+            (out, m.patterns, m.bitsets)
+        };
+        let one = run(1);
+        let four = run(4);
+        assert_eq!(one.0, four.0, "cap 4 changed a report or a count");
+        assert!(one.1 == four.1 && one.2 == four.2, "cap 4 changed the set");
+        let searched: u64 = one.0.iter().map(|b| b.1).sum();
+        let inexact: u64 = one.0.iter().map(|b| b.2).sum();
+        assert!(
+            searched < inexact,
+            "{searched} searches for {inexact} candidates with inexact bounds"
         );
     }
 

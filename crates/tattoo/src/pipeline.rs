@@ -4,12 +4,14 @@ use crate::candidates::{extract_from_region, ExtractParams};
 use crate::select::{greedy_select_ctrl, score_candidates};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cell::OnceCell;
 use vqi_core::budget::PatternBudget;
 use vqi_core::ctrl::{run_stage, Budget, Degradation, PipelineOutcome};
 use vqi_core::pattern::PatternSet;
 use vqi_core::repo::{GraphCollection, GraphRepository};
 use vqi_core::score::QualityWeights;
 use vqi_core::selector::PatternSelector;
+use vqi_graph::index::GraphIndex;
 use vqi_graph::truss::decompose_ctrl;
 use vqi_graph::Graph;
 use vqi_runtime::{fault, VqiError};
@@ -141,10 +143,13 @@ impl Tattoo {
                 Vec::new()
             }
         };
+        // the candidates borrow the index their searches match through
+        let index = OnceCell::new();
         let scored = match run_stage(ctrl, "tattoo.score", || {
             let _s = vqi_observe::span("tattoo.score");
             fault::maybe_panic("tattoo.score", 0);
-            score_candidates(cands, network)
+            let index = index.get_or_init(|| GraphIndex::build(network));
+            score_candidates(cands, network, index)
         }) {
             Ok(s) => s,
             Err(e) => {

@@ -26,14 +26,15 @@
 //! exact coverage. For any other pattern it contains the capped
 //! search's answer. The greedy scores candidates on their bounds, and
 //! runs the capped coverage search ([`capped_edge_coverage`]) only for
-//! a [`BoundedCandidate`] whose bound score can still win a round.
+//! a [`BoundedCandidate`] whose bound score can still win a round. The
+//! network maintainer's swap refiner and the sharded score phase take
+//! the same candidates, so every TATTOO caller scores this way.
 //! Each pick is therefore the one the eager loop makes over exact
 //! coverage, while the search runs for a few candidates instead of
 //! every one. [`exhaustive_best`] and [`set_score`] work on exact
 //! coverage ([`BoundedCandidate::resolve`]).
 
 use crate::candidates::Candidate;
-use std::sync::Arc;
 use vqi_core::bitset::BitSet;
 use vqi_core::budget::PatternBudget;
 use vqi_core::ctrl::{Budget, Degradation};
@@ -84,8 +85,8 @@ impl ScoredPattern for ScoredCandidate {
 }
 
 /// A candidate scored by an upper bound on its covered edges, with the
-/// network to search for the exact ones when the greedy asks
-/// ([`ScoredPattern::exact_coverage`]).
+/// network and its index to search for the exact ones when the greedy
+/// or the swap refiner asks ([`ScoredPattern::exact_coverage`]).
 #[derive(Debug, Clone)]
 pub struct BoundedCandidate<'n> {
     /// The candidate, with its bound as `covered`.
@@ -95,7 +96,7 @@ pub struct BoundedCandidate<'n> {
     /// is needed.
     exact: bool,
     network: &'n Graph,
-    index: Arc<GraphIndex>,
+    index: &'n GraphIndex,
 }
 
 impl BoundedCandidate<'_> {
@@ -122,7 +123,7 @@ impl ScoredPattern for BoundedCandidate<'_> {
         &self.scored.covered
     }
     fn exact_coverage(&self) -> Option<BitSet> {
-        (!self.exact).then(|| capped_edge_coverage(self.graph(), self.network, &self.index))
+        (!self.exact).then(|| capped_edge_coverage(self.graph(), self.network, self.index))
     }
     fn cognitive_load(&self) -> f64 {
         self.scored.cognitive_load
@@ -133,29 +134,35 @@ impl ScoredPattern for BoundedCandidate<'_> {
 }
 
 /// Bounds every candidate's covered edges in closed form
-/// ([`edge_coverage_bounds`]) and drops the candidates covering
-/// nothing. A candidate whose bound is empty has no embedding. One
-/// whose bound is not exact and not empty is kept only if a search
-/// under the coverage caps finds an embedding; that search stops at
-/// the first one, at the state where the capped coverage search finds
-/// it, so exactly the candidates with non-empty capped coverage
-/// survive. The greedy searches for the exact coverage of the few that
-/// can win a round. Counts the bounded candidates as
-/// `tattoo.score.bounded`.
-pub fn score_candidates(candidates: Vec<Candidate>, network: &Graph) -> Vec<BoundedCandidate<'_>> {
-    let index = Arc::new(GraphIndex::build(network));
+/// ([`edge_coverage_bounds`]) over `network`, matched through its
+/// `index`, and drops the candidates covering nothing. A candidate
+/// whose bound is empty has no embedding. One whose bound is not exact
+/// and not empty is kept only if a search under the coverage caps
+/// finds an embedding; that search stops at the first one, at the
+/// state where the capped coverage search finds it, so exactly the
+/// candidates with non-empty capped coverage survive. The greedy and
+/// the swap refiner search for the exact coverage of the few that can
+/// win. Counts the bounded candidates as `tattoo.score.bounded`, and
+/// the kept ones whose bound is not exact as `tattoo.score.inexact`.
+pub fn score_candidates<'n>(
+    candidates: Vec<Candidate>,
+    network: &'n Graph,
+    index: &'n GraphIndex,
+) -> Vec<BoundedCandidate<'n>> {
     vqi_observe::incr("tattoo.score.bounded", candidates.len() as u64);
-    let bounds = edge_coverage_bounds(&candidates, network, &index, |c| &c.graph);
+    let bounds = edge_coverage_bounds(&candidates, network, index, |c| &c.graph);
     let occurs = par::map_range(candidates.len(), |k| {
         let (bound, exact) = &bounds[k];
         bound.any()
             && (*exact
                 || PatternPlan::new(&candidates[k].graph).is_subgraph_of(
                     network,
-                    Some(&index),
+                    Some(index),
                     coverage_match_options(),
                 ))
     });
+    let inexact = bounds.iter().zip(&occurs).filter(|((_, e), &o)| o && !e);
+    vqi_observe::incr("tattoo.score.inexact", inexact.count() as u64);
     candidates
         .into_iter()
         .zip(bounds)
@@ -169,7 +176,7 @@ pub fn score_candidates(candidates: Vec<Candidate>, network: &Graph) -> Vec<Boun
             },
             exact,
             network,
-            index: Arc::clone(&index),
+            index,
         })
         .collect()
 }
@@ -299,12 +306,14 @@ mod tests {
 
     #[test]
     fn scoring_drops_non_occurring() {
+        let _guard = crate::fault_test_lock();
         let net = network();
         let cands = vec![
             cand(cycle(3, 1, 0), true),
             cand(star(5, 9, 9), false), // wrong labels, occurs nowhere
         ];
-        let scored = score_candidates(cands, &net);
+        let idx = GraphIndex::build(&net);
+        let scored = score_candidates(cands, &net, &idx);
         assert_eq!(scored.len(), 1);
     }
 
@@ -316,7 +325,8 @@ mod tests {
             cand(cycle(3, 1, 0), true),  // covers the K4 edges
             cand(chain(4, 1, 0), false), // covers the path (and some clique edges)
         ];
-        let scored = score_candidates(cands, &net);
+        let idx = GraphIndex::build(&net);
+        let scored = score_candidates(cands, &net, &idx);
         let set = greedy_select(
             scored,
             net.edge_count(),
@@ -336,7 +346,8 @@ mod tests {
             cand(chain(5, 1, 0), false),
             cand(star(3, 1, 0), false),
         ];
-        let bounded = score_candidates(cands, &net);
+        let idx = GraphIndex::build(&net);
+        let bounded = score_candidates(cands, &net, &idx);
         let scored = exact(&bounded);
         let weights = QualityWeights::default();
         let k = 2;
@@ -384,8 +395,13 @@ mod tests {
         // unified convention: empty repository scores 0 (the old
         // total_edges.max(1) denominator could produce a positive score
         // for an empty network)
+        let _guard = crate::fault_test_lock();
         let net = network();
-        let scored = exact(&score_candidates(vec![cand(cycle(3, 1, 0), true)], &net));
+        let scored = exact(&score_candidates(
+            vec![cand(cycle(3, 1, 0), true)],
+            &net,
+            &GraphIndex::build(&net),
+        ));
         let members: Vec<&ScoredCandidate> = scored.iter().collect();
         // members carry bitsets sized to the real network; an empty
         // network has no candidates at all, so score the empty repo with
@@ -563,7 +579,7 @@ mod tests {
 
             // over these bounds the greedy picks what it picks over the
             // exact coverage
-            let bounded = score_candidates(cands, &net);
+            let bounded = score_candidates(cands, &net, &idx);
             let exact_cands = exact(&bounded);
             for k in [1usize, 3, 5, 10] {
                 let budget = PatternBudget::new(k, 3, 5);

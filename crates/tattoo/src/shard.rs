@@ -18,42 +18,46 @@
 //!   the `tattoo.shard` prefix, followed by a global dedup by canonical
 //!   code in shard order. The sampling budget is divided across shards,
 //!   so the total extraction work matches whole-graph TATTOO's;
-//! * the **score** phase computes each candidate's covered edges with
-//!   [`edge_coverage_bitsets`], the entry point whole-network TATTOO
-//!   scores with (exact for stars, a capped search otherwise). With
-//!   `score_shards == parts` (the default) it matches against the whole
-//!   network, so edges that join two shards count. With fewer, it materializes only the leading
-//!   `score_shards` shards (with local→global edge maps) — a
-//!   conservative approximation that bounds scoring cost on huge
-//!   networks, since the greedy still normalizes by the *full* edge
-//!   count;
-//! * the **reduce** is the standard anytime greedy (`tattoo.greedy`).
+//! * the **score** phase copies the network it matches against onto
+//!   the heap once ([`prefix_graph_of`], which keeps the network's ids
+//!   and edge order), builds one [`GraphIndex`] of it, and bounds every
+//!   candidate's coverage with [`score_candidates`], as whole-network
+//!   TATTOO does. With `score_shards == parts` (the default) the copy
+//!   is the whole network, id for id, so edges that join two shards
+//!   count and every coverage equals whole-network TATTOO's on either
+//!   backend. With fewer, the copy is the node-id prefix the leading
+//!   `score_shards` shards cover — an approximation that bounds scoring
+//!   cost on huge networks — and coverage is normalized by the prefix's
+//!   edge count, the universe its candidates are scored over;
+//! * the **reduce** is the standard anytime greedy (`tattoo.greedy`)
+//!   over the copy's edges, which searches exact coverage only for the
+//!   candidates that can still win a round.
 //!
-//! A panicked shard of either phase is retried up to `retries` times;
-//! one that exhausts its retries is dropped deterministically and
-//! recorded as a degradation by [`ShardedTattoo::run_ctrl`] (or returned
-//! as `Err` under a fail-fast budget). Every phase consumes shard
-//! results in shard order, so the selection is bit-identical across
-//! storage backends and thread caps — the same contract the truss and
-//! graphlet kernels keep.
+//! A panicked map shard, or a panicked score phase, is retried up to
+//! `retries` times; a map shard that exhausts its retries is dropped
+//! deterministically, and a score phase that does selects nothing. Either
+//! is recorded as a degradation by [`ShardedTattoo::run_ctrl`] (or
+//! returned as `Err` under a fail-fast budget). The map consumes shard results
+//! in shard order and the score phase works on a heap copy, so the
+//! selection is bit-identical across storage backends and thread caps —
+//! the same contract the truss and graphlet kernels keep.
 
 use crate::candidates::{extract_from_region, Candidate, ExtractParams};
 use crate::pipeline::TattooConfig;
-use crate::select::{greedy_select_ctrl, ScoredCandidate};
+use crate::select::{greedy_select_ctrl, score_candidates};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cell::OnceCell;
 use std::ops::Range;
-use vqi_core::bitset::BitSet;
 use vqi_core::budget::PatternBudget;
 use vqi_core::ctrl::{Budget, Degradation, PipelineOutcome};
 use vqi_core::pattern::PatternSet;
-use vqi_core::score::{cognitive_load, edge_coverage_bitsets};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::par::ShardExecutor;
-use vqi_graph::storage::{induced_subgraph_of, induced_subgraph_with_edges, GraphStorage};
+use vqi_graph::storage::{induced_subgraph_of, prefix_graph_of, GraphStorage};
 use vqi_graph::truss::decompose;
-use vqi_graph::{EdgeId, NodeId};
-use vqi_runtime::VqiError;
+use vqi_graph::{Graph, NodeId};
+use vqi_runtime::{fault, VqiError};
 
 /// Sharded TATTOO over any storage backend.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +68,7 @@ pub struct ShardedTattoo {
     pub parts: usize,
     /// How many leading shards the coverage scoring materializes. Equal
     /// to `parts` (the default) to score against the whole network,
-    /// cross-shard edges included; smaller for a conservative approximation that
+    /// cross-shard edges included; smaller for an approximation that
     /// bounds scoring cost on huge networks.
     pub score_shards: usize,
     /// Retries per panicked shard before it is dropped from the run.
@@ -120,17 +124,16 @@ impl ShardedTattoo {
         ranges
     }
 
-    /// The node ranges the score phase matches against: the whole
-    /// network when every shard is scored, else the leading
-    /// `score_shards` shards.
-    fn score_ranges<S: GraphStorage + ?Sized>(&self, g: &S) -> Vec<Range<u32>> {
-        if self.score_shards >= self.parts {
-            let whole = 0..g.node_count() as u32;
-            return vec![whole];
-        }
-        let mut ranges = self.shard_ranges(g);
-        ranges.truncate(self.score_shards);
-        ranges
+    /// The network the score phase matches against, as one heap copy
+    /// with the network's ids and edge order ([`prefix_graph_of`]): all
+    /// of it when every shard is scored, else the node-id prefix the
+    /// leading `score_shards` shards cover.
+    fn score_network<S: GraphStorage + ?Sized>(&self, g: &S) -> Graph {
+        let leading = self.shard_ranges(g);
+        let end = leading
+            .get(self.score_shards.saturating_sub(1))
+            .map_or(g.node_count(), |r| r.end as usize);
+        prefix_graph_of(g, end)
     }
 
     /// The map phase under an unlimited budget (see the module docs).
@@ -196,89 +199,69 @@ impl ShardedTattoo {
         Ok(all)
     }
 
-    /// The score phase under an unlimited budget (see the module docs).
-    /// Candidates covering nothing are dropped, exactly as whole-network
-    /// scoring drops zero-coverage candidates.
-    pub fn score_over_shards<S: GraphStorage + ?Sized>(
+    /// The score phase and the reduce under an unlimited budget (see
+    /// the module docs): `candidates` bounded over the scored network,
+    /// then the greedy over its edges.
+    pub fn reduce<S: GraphStorage + ?Sized>(
         &self,
         g: &S,
         candidates: Vec<Candidate>,
-    ) -> Vec<ScoredCandidate> {
+        budget: &PatternBudget,
+    ) -> PatternSet {
         let mut deg = Degradation::new();
-        self.score_ctrl(g, candidates, &Budget::unlimited(), &mut deg)
+        self.reduce_ctrl(g, candidates, budget, &Budget::unlimited(), &mut deg)
             .unwrap_or_default()
     }
 
-    /// Score phase body: each scored range is materialized with its
-    /// local→global edge map and scored by [`edge_coverage_bitsets`]
-    /// through one [`GraphIndex`], so stars are exact here as in
-    /// whole-network TATTOO; the global-edge results are ORed into one bitset per candidate in
-    /// range order. A dropped range loses only its own slice of coverage
-    /// and is recorded in `deg`.
-    fn score_ctrl<S: GraphStorage + ?Sized>(
+    /// Body of [`ShardedTattoo::reduce`]. The copy, its index and the
+    /// bounds run as one retried body (fault site `tattoo.shard.score`);
+    /// a budget cut before scoring, or a body that exhausts its retries,
+    /// selects nothing and is recorded in `deg`.
+    fn reduce_ctrl<S: GraphStorage + ?Sized>(
         &self,
         g: &S,
         candidates: Vec<Candidate>,
+        budget: &PatternBudget,
         ctrl: &Budget,
         deg: &mut Degradation,
-    ) -> Result<Vec<ScoredCandidate>, VqiError> {
-        let _s = vqi_observe::span("tattoo.shard.score");
+    ) -> Result<PatternSet, VqiError> {
+        let span = vqi_observe::span("tattoo.shard.score");
         if candidates.is_empty() {
-            return Ok(Vec::new());
+            return Ok(PatternSet::new());
         }
-        if let Err(e) = ctrl.check("tattoo.shard.score") {
-            deg.absorb(ctrl, e)?;
-            return Ok(Vec::new());
-        }
-        let ranges = self.score_ranges(g);
-        let per_range = self.executor().run_shards(ranges.len(), |ri| {
-            let nodes: Vec<NodeId> = ranges[ri].clone().map(NodeId).collect();
-            let (sub, _, edge_map) = induced_subgraph_with_edges(g, &nodes);
-            let idx = GraphIndex::build(&sub);
-            edge_coverage_bitsets(&candidates, &sub, &idx, |c| &c.graph)
-                .into_iter()
-                .map(|bits| bits.ones().map(|e| edge_map[e]).collect::<Vec<EdgeId>>())
-                .collect::<Vec<_>>()
-        });
-        let mut covered: Vec<Vec<EdgeId>> = vec![Vec::new(); candidates.len()];
-        for range in per_range {
-            match range {
-                Ok(per_cand) => {
-                    for (acc, edges) in covered.iter_mut().zip(per_cand) {
-                        acc.extend(edges);
-                    }
-                }
-                Err(e) => {
-                    vqi_observe::incr("tattoo.shard.dropped", 1);
-                    deg.absorb(ctrl, e)?;
-                }
-            }
-        }
-        let total = g.edge_count();
-        Ok(candidates
-            .into_iter()
-            .zip(covered)
-            .filter(|(_, edges)| !edges.is_empty())
-            .map(|(c, edges)| {
-                let mut bits = BitSet::new(total);
-                for e in edges {
-                    bits.set(e.index());
-                }
-                ScoredCandidate {
-                    cognitive_load: cognitive_load(&c.graph),
-                    candidate: c,
-                    covered: bits,
-                }
+        // a retry rebuilds only what the failed attempt did not finish
+        let (network, index) = (OnceCell::new(), OnceCell::new());
+        let scored = ctrl.check("tattoo.shard.score").and_then(|()| {
+            self.executor().retrying("tattoo.shard.score", || {
+                fault::maybe_panic("tattoo.shard.score", 0);
+                let network = network.get_or_init(|| self.score_network(g));
+                let index = index.get_or_init(|| GraphIndex::build(network));
+                score_candidates(candidates.clone(), network, index)
             })
-            .collect())
+        });
+        drop(span);
+        let scored = match scored {
+            Ok(scored) => scored,
+            Err(e) => {
+                deg.absorb(ctrl, e)?;
+                return Ok(PatternSet::new());
+            }
+        };
+        greedy_select_ctrl(
+            scored,
+            network.get().map_or(0, Graph::edge_count),
+            budget,
+            self.config.weights,
+            ctrl,
+            deg,
+        )
     }
 
     /// Runs the sharded pipeline: map over all shards, score, then the
-    /// standard greedy selection normalized by the full network's edge
-    /// count.
+    /// standard greedy selection over the scored network's edges.
     pub fn run<S: GraphStorage + ?Sized>(&self, g: &S, budget: &PatternBudget) -> PatternSet {
-        let mut deg = Degradation::new();
-        self.run_impl(g, budget, &Budget::unlimited(), &mut deg)
+        self.run_ctrl(g, budget, &Budget::unlimited())
+            .map(|out| out.value)
             .unwrap_or_default()
     }
 
@@ -295,49 +278,44 @@ impl ShardedTattoo {
         ctrl: &Budget,
     ) -> Result<PipelineOutcome<PatternSet>, VqiError> {
         let mut deg = Degradation::new();
-        let set = self.run_impl(g, budget, ctrl, &mut deg)?;
+        let candidates = self.map_ctrl(g, budget, ctrl, &mut deg)?;
+        let set = self.reduce_ctrl(g, candidates, budget, ctrl, &mut deg)?;
         Ok(deg.finish(set))
-    }
-
-    /// Shared body of [`ShardedTattoo::run`] and
-    /// [`ShardedTattoo::run_ctrl`].
-    fn run_impl<S: GraphStorage + ?Sized>(
-        &self,
-        g: &S,
-        budget: &PatternBudget,
-        ctrl: &Budget,
-        deg: &mut Degradation,
-    ) -> Result<PatternSet, VqiError> {
-        let candidates = self.map_ctrl(g, budget, ctrl, deg)?;
-        let scored = self.score_ctrl(g, candidates, ctrl, deg)?;
-        greedy_select_ctrl(
-            scored,
-            g.edge_count(),
-            budget,
-            self.config.weights,
-            ctrl,
-            deg,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::{BoundedCandidate, ScoredCandidate};
     use crate::topology::classify;
     use crate::Tattoo;
     use vqi_core::repo::GraphRepository;
-    use vqi_core::score::{coverage_match_options, coverage_star};
+    use vqi_core::score::{coverage_star, edge_coverage_bitsets};
     use vqi_core::score::{evaluate, QualityWeights};
     use vqi_datasets::dblp_like;
     use vqi_graph::canon::canonical_code;
-    use vqi_graph::iso::PatternPlan;
     use vqi_graph::storage::CsrGraph;
     use vqi_graph::traversal::is_connected;
-    use vqi_graph::Graph;
+    use vqi_graph::EdgeId;
 
     fn codes_in_order(set: &PatternSet) -> Vec<vqi_graph::canon::CanonicalCode> {
         set.patterns().iter().map(|p| p.code.clone()).collect()
+    }
+
+    /// The score phase's candidates over `sel`'s score network of `g`,
+    /// with their exact coverage.
+    fn score_over_shards<S: GraphStorage + ?Sized>(
+        sel: &ShardedTattoo,
+        g: &S,
+        cands: Vec<Candidate>,
+    ) -> Vec<ScoredCandidate> {
+        let network = sel.score_network(g);
+        let index = GraphIndex::build(&network);
+        score_candidates(cands, &network, &index)
+            .into_iter()
+            .map(BoundedCandidate::resolve)
+            .collect()
     }
 
     /// Installs a fault plan and removes it on drop, so a failing
@@ -432,14 +410,14 @@ mod tests {
         assert_eq!(sel.shard_ranges(&net), vec![0..2, 2..4]);
         let csr = CsrGraph::from_graph(&net);
         for scored in [
-            sel.score_over_shards(&net, vec![cand.clone()]),
-            sel.score_over_shards(&csr, vec![cand.clone()]),
+            score_over_shards(&sel, &net, vec![cand.clone()]),
+            score_over_shards(&sel, &csr, vec![cand.clone()]),
         ] {
             assert_eq!(scored.len(), 1, "cross-shard embedding not covered");
             assert_eq!(scored[0].covered.ones().collect::<Vec<_>>(), vec![1]);
         }
         // the leading-shards approximation never sees the cut edge
-        let approx = sel.with_score_shards(1).score_over_shards(&net, vec![cand]);
+        let approx = score_over_shards(&sel.with_score_shards(1), &net, vec![cand]);
         assert!(approx.is_empty());
     }
 
@@ -455,30 +433,21 @@ mod tests {
             let cands = sel.map_candidates(&net, &budget);
             let idx = GraphIndex::build(&net);
             let want = edge_coverage_bitsets(&cands, &net, &idx, |c| &c.graph);
-            let heap = sel.score_over_shards(&net, cands.clone());
-            let packed = sel.score_over_shards(&csr, cands.clone());
+            let heap = score_over_shards(&sel, &net, cands.clone());
+            let packed = score_over_shards(&sel, &csr, cands.clone());
             let mut scored = heap.iter().zip(&packed);
+            // the score network is the network id for id, so even a
+            // capped search that stops early reports the same edges
             for (c, want) in cands.iter().zip(want) {
                 if !want.any() {
                     continue;
                 }
                 let (h, p) = scored.next().expect("a scored candidate per covering one");
                 assert!(h.candidate.code == c.code && p.candidate.code == c.code);
-                // a capped search that stops early reports a prefix that
-                // depends on the materialized range's edge order, so
-                // only exact coverage must match bit for bit
-                let star = coverage_star(&c.graph, &idx).is_some();
-                let plan = PatternPlan::new(&c.graph);
-                if star
-                    || plan
-                        .enumerate(&net, Some(&idx), coverage_match_options(), |_| true)
-                        .complete
-                {
-                    assert_eq!(h.covered, want, "seed {seed}: heap");
-                    assert_eq!(p.covered, want, "seed {seed}: CSR");
-                    stars += usize::from(star);
-                    compared += 1;
-                }
+                assert_eq!(h.covered, want, "seed {seed}: heap");
+                assert_eq!(p.covered, want, "seed {seed}: CSR");
+                stars += usize::from(coverage_star(&c.graph, &idx).is_some());
+                compared += 1;
             }
             assert!(
                 scored.next().is_none(),
@@ -495,15 +464,23 @@ mod tests {
         let budget = PatternBudget::new(4, 4, 6);
         let sel = ShardedTattoo::new(TattooConfig::default(), 4).with_score_shards(2);
         let inside = sel.shard_ranges(&net)[1].end;
-        let scored = sel.score_over_shards(&net, sel.map_candidates(&net, &budget));
+        // the score network is the node-id prefix of the two leading
+        // shards with every network edge among them
+        let scored_net = sel.score_network(&net);
+        assert_eq!(scored_net.node_count(), inside as usize);
+        let within = |(u, v): (NodeId, NodeId)| u.0 < inside && v.0 < inside;
+        let inner = net.edges().filter(|&e| within(net.endpoints(e))).count();
+        assert_eq!(scored_net.edge_count(), inner);
+        let scored = score_over_shards(&sel, &net, sel.map_candidates(&net, &budget));
         assert!(!scored.is_empty());
         for s in &scored {
-            for e in s.covered.ones() {
-                let (u, v) = net.endpoints(EdgeId(e as u32));
-                assert!(
-                    u.0 < inside && v.0 < inside,
-                    "edge {e} outside the scored shards"
-                );
+            assert_eq!(s.covered.len(), inner, "coverage over the scored edges");
+            for e in s.covered.ones().map(|e| EdgeId(e as u32)) {
+                // node ids are kept, so the covered edge is the network's
+                let (u, v) = scored_net.endpoints(e);
+                let original = net.edge_between(u, v).expect("a network edge");
+                assert!(within(net.endpoints(original)), "edge {e:?} outside");
+                assert_eq!(net.edge_label(original), scored_net.edge_label(e));
             }
         }
     }
@@ -633,6 +610,50 @@ mod tests {
         let ctrl = Budget::unlimited().with_fail_fast(true);
         let out = sel.run_ctrl(&net, &budget, &ctrl);
         assert!(out.is_err(), "fail-fast must propagate the shard failure");
+    }
+
+    #[test]
+    fn a_panicked_score_phase_is_retried_or_recorded() {
+        let _guard = crate::fault_test_lock();
+        let net = dblp_like(200, 4);
+        let budget = PatternBudget::new(4, 4, 5);
+        let mut sel = fast_selector();
+        let cands = sel.map_candidates(&net, &budget);
+        let plain = codes_in_order(&sel.reduce(&net, cands.clone(), &budget));
+        assert!(!plain.is_empty());
+        // the score phase panics once per plan
+        let plan = vqi_runtime::fault::FaultPlan {
+            seed: 5,
+            panic_rate: 1.0,
+            ..Default::default()
+        };
+        let reduce = |sel: &ShardedTattoo, ctrl: &Budget, deg: &mut Degradation| {
+            let _plan = with_plan(plan);
+            sel.reduce_ctrl(&net, cands.clone(), &budget, ctrl, deg)
+        };
+        // one retry recovers the selection bit for bit
+        let mut deg = Degradation::new();
+        let got = reduce(&sel, &Budget::unlimited(), &mut deg).expect("not fail-fast");
+        assert!(deg.is_empty(), "a retried score phase is no degradation");
+        assert_eq!(codes_in_order(&got), plain);
+        // without one the phase selects nothing and is recorded
+        sel.retries = 0;
+        let mut deg = Degradation::new();
+        let got = reduce(&sel, &Budget::unlimited(), &mut deg).expect("not fail-fast");
+        assert!(got.is_empty());
+        match deg.into_completeness() {
+            vqi_core::ctrl::Completeness::Degraded { stages_cut, .. } => {
+                assert_eq!(stages_cut, vec!["tattoo.shard.score".to_string()]);
+            }
+            other => panic!("expected a degraded run, got {other:?}"),
+        }
+        // and under fail-fast it is the error
+        let strict = Budget::unlimited().with_fail_fast(true);
+        let err = reduce(&sel, &strict, &mut Degradation::new()).unwrap_err();
+        assert!(
+            matches!(&err, VqiError::Panic { stage, .. } if stage == "tattoo.shard.score"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -162,18 +162,17 @@ pub fn diversity(patterns: &[&Graph]) -> f64 {
     if k <= 1 {
         return 1.0;
     }
-    let pairs: Vec<(usize, usize)> = (0..k)
-        .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
-        .collect();
     // canonical codes are cheap for pattern-sized graphs and turn the
-    // quadratic MCS bill into cache hits across repeated evaluations
-    let codes: Vec<CanonicalCode> = par::map(patterns, |g| canonical_code(g));
-    let sims: Vec<f64> = par::map(&pairs, |&(i, j)| {
-        cache::mcs_similarity_cached(patterns[i], &codes[i], patterns[j], &codes[j])
-    });
-    // summed in pair order, not reduction-tree order, so the f64 result
-    // is identical at any thread count
-    1.0 - sims.iter().sum::<f64>() / pairs.len() as f64
+    // quadratic MCS bill into cache hits across repeated evaluations.
+    // At most k(k − 1)/2 pairs of a pattern set: forking workers for
+    // them costs more than the lookups, so the loop stays on this
+    // thread and sums in pair order
+    let codes: Vec<CanonicalCode> = patterns.iter().map(|g| canonical_code(g)).collect();
+    let sum: f64 = (0..k)
+        .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
+        .map(|(i, j)| cache::mcs_similarity_cached(patterns[i], &codes[i], patterns[j], &codes[j]))
+        .sum();
+    1.0 - sum / (k * (k - 1) / 2) as f64
 }
 
 /// True if pattern `p` covers data graph `g`.

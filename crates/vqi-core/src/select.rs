@@ -50,7 +50,8 @@
 //! `total_cmp`, so the selection does not depend on the thread count.
 //!
 //! **The swap refiner.** Each scan tries to replace one current
-//! pattern with one fresh [`SwapCandidate`]. A swap is accepted only if
+//! pattern with one fresh candidate, a [`ScoredPattern`] as in the
+//! greedy. A swap is accepted only if
 //!
 //! 1. the covered union does **not shrink** (progressive coverage), and
 //! 2. the set score ([`set_score_bitsets`], the score
@@ -62,8 +63,13 @@
 //! a candidate covering fewer units than the weakest pattern's sole
 //! coverage is pruned: it would shrink the union in every slot. The
 //! once/multiply-covered partition and the per-pattern sole coverage
-//! are word-parallel [`BitSet`] algebra. The stage name keys the
-//! `<stage>.{accepted,considered,pruned,scans}` counters.
+//! are word-parallel [`BitSet`] algebra. Coverage is lazy here too:
+//! the prune, the union test and the `(dead, score)` key test against
+//! the scan's best run on a candidate's bound first, and each is sound
+//! on it (a superset gains at least as much, loses at most as much and
+//! scores at least as high), so the exact coverage is computed only for
+//! a candidate whose bound passes all three. The stage name keys the
+//! `<stage>.{accepted,considered,pruned,scans,searched}` counters.
 
 use crate::bitset::BitSet;
 use crate::budget::PatternBudget;
@@ -87,9 +93,10 @@ pub trait ScoredPattern: Sync {
     /// a superset of them when [`Self::exact_coverage`] computes them.
     fn coverage(&self) -> &BitSet;
     /// The exact covered units when [`Self::coverage`] is only an upper
-    /// bound on them, or `None` when it is exact. The greedy asks at
-    /// most once per candidate, and only for a candidate that can still
-    /// win a round. The default says the bound is exact.
+    /// bound on them, or `None` when it is exact. [`anytime_greedy`]
+    /// and [`swap_refine`] ask at most once per candidate, and only for
+    /// a candidate that can still win a round or a swap. The default
+    /// says the bound is exact.
     fn exact_coverage(&self) -> Option<BitSet> {
         None
     }
@@ -161,6 +168,22 @@ impl Known {
             _ => bound,
         }
     }
+
+    /// Asks `c` for its exact coverage unless that is known already.
+    /// True when this computed it, which counts in `searched`.
+    fn settle<C: ScoredPattern>(&mut self, c: &C, searched: &mut usize) -> bool {
+        if let Known::Bound = self {
+            *self = match c.exact_coverage() {
+                Some(bits) => {
+                    *searched += 1;
+                    Known::Searched(bits)
+                }
+                None => Known::Exact,
+            };
+            return matches!(self, Known::Searched(_));
+        }
+        false
+    }
 }
 
 /// Budget-aware greedy selection of up to `budget.count` candidates
@@ -201,7 +224,7 @@ pub fn anytime_greedy<C: ScoredPattern>(
     // full-diversity score of the first round
     let mut max_sim: Vec<f64> = vec![0.0; candidates.len()];
     let mut known: Vec<Known> = candidates.iter().map(|_| Known::Bound).collect();
-    let mut searched = 0u64;
+    let mut searched = 0;
     // one meter for the whole selection: with a tick quota of N the
     // loop degrades after exactly N rounds, at any thread count
     let mut meter = ctrl.meter(stage);
@@ -241,17 +264,8 @@ pub fn anytime_greedy<C: ScoredPattern>(
                 *s = f64::NEG_INFINITY;
             }
         }
-        let mut settle = |i: usize, known: &mut [Known]| {
-            if let Known::Bound = known[i] {
-                known[i] = match candidates[i].exact_coverage() {
-                    Some(bits) => {
-                        searched += 1;
-                        Known::Searched(bits)
-                    }
-                    None => Known::Exact,
-                };
-            }
-        };
+        let mut settle =
+            |i: usize, known: &mut [Known]| known[i].settle(&candidates[i], &mut searched);
         let (best, best_score) = lazy_argmax(&bounds, |i| {
             // a NaN fault is keyed by position and a weight overflow
             // does not depend on the gain, so a position whose bound
@@ -302,7 +316,7 @@ pub fn anytime_greedy<C: ScoredPattern>(
         }
     }
     vqi_observe::incr(&format!("{stage}.selected"), set.len() as u64);
-    vqi_observe::incr(&format!("{stage}.searched"), searched);
+    vqi_observe::incr(&format!("{stage}.searched"), searched as u64);
     Ok(set)
 }
 
@@ -336,15 +350,6 @@ fn lazy_argmax(bounds: &[f64], mut exact: impl FnMut(usize) -> f64) -> Option<(u
     best
 }
 
-/// A fresh candidate for [`swap_refine`].
-#[derive(Debug, Clone)]
-pub struct SwapCandidate {
-    /// Candidate pattern graph.
-    pub graph: Graph,
-    /// Covered units of the universe (graph positions or edge ids).
-    pub coverage: BitSet,
-}
-
 /// Outcome counters of one [`swap_refine`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwapStats {
@@ -353,7 +358,7 @@ pub struct SwapStats {
     /// Candidates considered (those not isomorphic to a pattern).
     pub considered: usize,
     /// Candidates eliminated by the sole-coverage bound, summed over
-    /// scans.
+    /// scans, on what the refiner knows of each candidate's coverage.
     pub pruned: usize,
     /// Scans executed.
     pub scans: usize,
@@ -362,41 +367,53 @@ pub struct SwapStats {
 /// Runs up to `scans` swap scans over `patterns` and their coverage
 /// `bitsets` (aligned, all over the same universe) with the given
 /// candidates — the **swap refiner**. Mutates both in place so they
-/// stay aligned; a replacing candidate is recorded with `provenance`.
-/// Stops early when a scan accepts no swap or the best swap cannot be
-/// applied. Emits `<stage>.accepted`, `<stage>.considered`,
-/// `<stage>.pruned` and `<stage>.scans`.
-pub fn swap_refine(
+/// stay aligned; a replacing candidate is recorded with its
+/// [`ScoredPattern::provenance`] and its exact coverage. Stops early
+/// when a scan accepts no swap or the best swap cannot be applied.
+///
+/// A candidate whose coverage is only a bound gets its exact coverage
+/// once its bound passes every test of a pair (see the module docs),
+/// so each swap is the one made over exact coverage. A bounded
+/// candidate must cover something: an empty coverage scores its
+/// pattern as absent, which the bound does not bound. Emits
+/// `<stage>.{accepted,considered,pruned,scans,searched}`.
+pub fn swap_refine<C: ScoredPattern>(
     patterns: &mut PatternSet,
     bitsets: &mut [BitSet],
-    mut candidates: Vec<SwapCandidate>,
+    mut candidates: Vec<C>,
     scans: usize,
     weights: QualityWeights,
     stage: &str,
-    provenance: &str,
 ) -> SwapStats {
     let mut stats = SwapStats::default();
+    let mut searched = 0;
     let universe = bitsets.first().map_or(0, BitSet::len);
     if universe > 0 && !patterns.is_empty() {
-        candidates.retain(|c| !patterns.contains_isomorphic(&c.graph));
+        candidates.retain(|c| !patterns.contains_isomorphic(c.graph()));
         stats.considered = candidates.len();
+        let mut known: Vec<Known> = candidates.iter().map(|_| Known::Bound).collect();
         for _ in 0..scans {
             stats.scans += 1;
             let Some((ci, pi)) = best_swap(
                 patterns,
                 bitsets,
                 &candidates,
-                universe,
+                &mut known,
                 weights,
                 &mut stats.pruned,
+                &mut searched,
             ) else {
                 break;
             };
             let cand = candidates.swap_remove(ci);
-            if patterns.replace(pi, cand.graph, provenance).is_err() {
+            let coverage = known.swap_remove(ci).or(cand.coverage()).clone();
+            if patterns
+                .replace(pi, cand.graph().clone(), cand.provenance())
+                .is_err()
+            {
                 break;
             }
-            bitsets[pi] = cand.coverage;
+            bitsets[pi] = coverage;
             stats.swaps += 1;
         }
     }
@@ -405,6 +422,7 @@ pub fn swap_refine(
         ("considered", stats.considered),
         ("pruned", stats.pruned),
         ("scans", stats.scans),
+        ("searched", searched),
     ] {
         vqi_observe::incr(&format!("{stage}.{name}"), n as u64);
     }
@@ -413,15 +431,20 @@ pub fn swap_refine(
 
 /// One scan of [`swap_refine`]: the accepted `(candidate, pattern)`
 /// swap with the best `(dead, score)` key, first in candidate-major
-/// order among ties, or `None` if no swap is accepted.
-fn best_swap(
+/// order among ties, or `None` if no swap is accepted. A candidate
+/// still on its bound is settled in `known` at its first pair that
+/// passes on the bound; its earlier pairs fail on the exact coverage
+/// too, so the scan goes on from that pair.
+fn best_swap<C: ScoredPattern>(
     patterns: &PatternSet,
     bitsets: &[BitSet],
-    candidates: &[SwapCandidate],
-    universe: usize,
+    candidates: &[C],
+    known: &mut [Known],
     weights: QualityWeights,
     pruned: &mut usize,
+    searched: &mut usize,
 ) -> Option<(usize, usize)> {
+    let universe = bitsets[0].len();
     // partition the universe by how many patterns cover each unit:
     // `any` = at least once, `multi` = at least twice, `once` = exactly
     // once — all in O(words · patterns)
@@ -437,36 +460,41 @@ fn best_swap(
     let min_sole = sole.iter().map(BitSet::count_ones).min().unwrap_or(0);
     let dead: Vec<bool> = bitsets.iter().map(|b| !b.any()).collect();
 
-    // one pair of reference vectors per scan: each pair puts the
-    // candidate into slot pi, scores, and puts the pattern back
+    // one graph vector per scan: each pair puts the candidate into
+    // slot pi, scores, and puts the pattern back
     let mut graphs: Vec<&Graph> = patterns.graphs().collect();
-    let mut bit_refs: Vec<&BitSet> = bitsets.iter().collect();
-    let current = set_score_bitsets(&graphs, &bit_refs, universe, weights);
+    let bit_refs = || bitsets.iter().collect::<Vec<&BitSet>>();
+    let current = set_score_bitsets(&graphs, &bit_refs(), universe, weights);
 
     let mut best: Option<((bool, f64), usize, usize)> = None;
     for (ci, cand) in candidates.iter().enumerate() {
-        // this candidate cannot restore even the weakest pattern's sole
-        // coverage, so every swap would shrink the union
-        if cand.coverage.count_ones() < min_sole {
-            *pruned += 1;
-            continue;
-        }
-        // units newly covered by the candidate, whichever slot it takes
-        let gained = cand.coverage.count_and_not(&any);
-        for pi in 0..bitsets.len() {
-            // the union shrinks iff the candidate gains fewer units than
-            // it loses of pattern pi's sole coverage
-            if gained < sole[pi].count_and_not(&cand.coverage) {
-                continue;
+        let mut pi = 0;
+        while pi < bitsets.len() {
+            let coverage = known[ci].or(cand.coverage());
+            // this candidate cannot restore even the weakest pattern's
+            // sole coverage, so every swap would shrink the union
+            if coverage.count_ones() < min_sole {
+                *pruned += 1;
+                break;
             }
-            let old_graph = std::mem::replace(&mut graphs[pi], &cand.graph);
-            let old_bits = std::mem::replace(&mut bit_refs[pi], &cand.coverage);
-            let score = set_score_bitsets(&graphs, &bit_refs, universe, weights);
-            (graphs[pi], bit_refs[pi]) = (old_graph, old_bits);
-            let key = (dead[pi], score);
-            if score > current + 1e-12 && best.is_none_or(|(k, _, _)| key > k) {
-                best = Some((key, ci, pi));
+            // the union shrinks iff the candidate gains fewer new units
+            // than it loses of pattern pi's sole coverage
+            if coverage.count_and_not(&any) >= sole[pi].count_and_not(coverage) {
+                let old_graph = std::mem::replace(&mut graphs[pi], cand.graph());
+                let mut with = bit_refs();
+                with[pi] = coverage;
+                let score = set_score_bitsets(&graphs, &with, universe, weights);
+                graphs[pi] = old_graph;
+                let key = (dead[pi], score);
+                if score > current + 1e-12 && best.is_none_or(|(k, _, _)| key > k) {
+                    // a freshly searched coverage re-tests this pair
+                    if known[ci].settle(cand, searched) {
+                        continue;
+                    }
+                    best = Some((key, ci, pi));
+                }
             }
+            pi += 1;
         }
     }
     best.map(|(_, ci, pi)| (ci, pi))
@@ -1152,22 +1180,19 @@ mod tests {
         set
     }
 
-    fn swap_cand(graph: Graph, bits: &[bool]) -> SwapCandidate {
-        SwapCandidate {
-            graph,
-            coverage: BitSet::from_bools(bits),
-        }
+    fn swap_cand(graph: Graph, bits: &[bool]) -> Scored {
+        cand(graph, BitSet::from_bools(bits))
     }
 
     /// Runs the refiner under the test stage name.
-    fn refine(
+    fn refine<C: ScoredPattern>(
         set: &mut PatternSet,
         bitsets: &mut [BitSet],
-        cands: Vec<SwapCandidate>,
+        cands: Vec<C>,
         scans: usize,
         w: QualityWeights,
     ) -> SwapStats {
-        swap_refine(set, bitsets, cands, scans, w, "test.swap", "test:swap")
+        swap_refine(set, bitsets, cands, scans, w, "test.swap")
     }
 
     /// The swap loop MIDAS ran before the refiner was shared: it
@@ -1177,7 +1202,7 @@ mod tests {
     fn reference_swap(
         patterns: &mut PatternSet,
         pattern_bitsets: &mut [BitSet],
-        mut candidates: Vec<SwapCandidate>,
+        mut candidates: Vec<Scored>,
         n_graphs: usize,
         scans: usize,
         weights: QualityWeights,
@@ -1233,7 +1258,7 @@ mod tests {
             if let Some((_, ci, pi)) = best {
                 let cand = candidates.swap_remove(ci);
                 if patterns
-                    .replace(pi, cand.graph.clone(), "test:swap")
+                    .replace(pi, cand.graph.clone(), cand.provenance())
                     .is_ok()
                 {
                     pattern_bitsets[pi] = cand.coverage;
@@ -1317,7 +1342,7 @@ mod tests {
     }
 
     /// Two patterns and two candidates that each improve one slot.
-    fn two_improving_swaps() -> (PatternSet, Vec<BitSet>, Vec<SwapCandidate>) {
+    fn two_improving_swaps() -> (PatternSet, Vec<BitSet>, Vec<Scored>) {
         let set = swap_set(vec![chain(4, 1, 0), chain(5, 1, 0)]);
         let bitsets = vec![
             BitSet::from_bools(&[true, false, false, false]),
@@ -1392,7 +1417,13 @@ mod tests {
         let _guard = lock();
         let graphs = patterns();
         let mut totals = SwapStats::default();
-        let mut dead_replaced = 0;
+        let (mut dead_replaced, mut bounded) = (0, 0);
+        vqi_observe::set_enabled(true);
+        let searched = || {
+            let counters = vqi_observe::snapshot().counters;
+            counters.get("test.swap.searched").copied().unwrap_or(0)
+        };
+        let searched_before = searched();
         for (u, (coverage, universe)) in coverages().into_iter().enumerate() {
             for seed in 1..=12u64 {
                 let ctx = format!("universe {u} seed {seed}");
@@ -1420,28 +1451,15 @@ mod tests {
                 if seed % 3 != 0 {
                     bitsets[dead_slot] = BitSet::new(universe);
                 }
-                let mut cands: Vec<SwapCandidate> = order[k..]
+                let mut cands: Vec<(Graph, BitSet)> = order[k..]
                     .iter()
-                    .map(|&i| SwapCandidate {
-                        graph: graphs[i].clone(),
-                        coverage: thin(&coverage[i], &mut rng),
-                    })
+                    .map(|&i| (graphs[i].clone(), thin(&coverage[i], &mut rng)))
                     .collect();
                 // a duplicate candidate, one isomorphic to a current
                 // pattern, and one covering nothing
-                let dup = cands[0].clone();
-                cands.push(SwapCandidate {
-                    coverage: coverage[order[k]].clone(),
-                    ..dup
-                });
-                cands.push(SwapCandidate {
-                    graph: graphs[order[0]].clone(),
-                    coverage: coverage[order[0]].clone(),
-                });
-                cands.push(SwapCandidate {
-                    graph: graphs[order[k + 1]].clone(),
-                    coverage: BitSet::new(universe),
-                });
+                cands.push((cands[0].0.clone(), coverage[order[k]].clone()));
+                cands.push((graphs[order[0]].clone(), coverage[order[0]].clone()));
+                cands.push((graphs[order[k + 1]].clone(), BitSet::new(universe)));
                 // every fourth seed, a disconnected candidate covering
                 // everything: the best swap, which `replace` refuses
                 if seed % 4 == 0 {
@@ -1450,10 +1468,7 @@ mod tests {
                     split.add_edge(x, y, 0);
                     let mut all = BitSet::new(universe);
                     (0..universe).for_each(|i| all.set(i));
-                    cands.push(SwapCandidate {
-                        graph: split,
-                        coverage: all,
-                    });
+                    cands.push((split, all));
                 }
                 cands.shuffle(&mut rng);
                 let w = if seed % 2 == 0 {
@@ -1464,14 +1479,51 @@ mod tests {
                         cognitive: 0.25,
                     }
                 };
+                // the same candidates again, most of them as a bound:
+                // their coverage plus seeded extra units. A bounded
+                // candidate must cover something, so the empty one
+                // stays exact
+                let cands: Vec<(Graph, BitSet, Option<BitSet>)> = cands
+                    .into_iter()
+                    .map(|(graph, exact)| {
+                        if !exact.any() || rng.gen_bool(0.25) {
+                            return (graph, exact, None);
+                        }
+                        let mut bound = exact.clone();
+                        for i in (0..universe).filter(|_| rng.gen_bool(0.3)) {
+                            bound.set(i);
+                        }
+                        (graph, bound, Some(exact))
+                    })
+                    .collect();
+                let (lazy, eager) = bounded_and_exact(cands);
+                // the bounded candidates the refiner considers
+                bounded += lazy
+                    .iter()
+                    .filter(|c| c.exact.is_some() && !set.contains_isomorphic(c.graph()))
+                    .count();
 
                 let (mut want_set, mut want_bits) = (set.clone(), bitsets.clone());
                 let want =
-                    reference_swap(&mut want_set, &mut want_bits, cands.clone(), universe, 4, w);
-                let got = refine(&mut set, &mut bitsets, cands, 4, w);
+                    reference_swap(&mut want_set, &mut want_bits, eager.clone(), universe, 4, w);
+                // exact candidates: every stat is the reference's
+                let (mut got_set, mut got_bits) = (set.clone(), bitsets.clone());
+                let got = refine(&mut got_set, &mut got_bits, eager, 4, w);
                 assert_eq!(got, want, "{ctx}: stats");
-                assert_eq!(bitsets, want_bits, "{ctx}: bitsets");
-                assert!(set == want_set, "{ctx}: patterns");
+                assert_eq!(got_bits, want_bits, "{ctx}: bitsets");
+                assert!(got_set == want_set, "{ctx}: patterns");
+                // bounded candidates: the same swaps; one never resolved
+                // is pruned only if its bound fails the sole-coverage test
+                let lazy_got = refine(&mut set, &mut bitsets, lazy, 4, w);
+                let pruned = lazy_got.pruned;
+                assert_eq!(
+                    SwapStats { pruned, ..want },
+                    lazy_got,
+                    "{ctx}: bounded stats"
+                );
+                assert!(pruned <= want.pruned, "{ctx}: bounded pruned {pruned}");
+                assert_eq!(bitsets, want_bits, "{ctx}: bounded bitsets");
+                assert!(set == want_set, "{ctx}: bounded patterns");
                 if seed % 3 != 0 {
                     dead_replaced += usize::from(bitsets[dead_slot].any());
                 }
@@ -1479,8 +1531,14 @@ mod tests {
                 totals.pruned += got.pruned;
             }
         }
+        let searched = searched() - searched_before;
+        vqi_observe::set_enabled(false);
         assert!(totals.swaps > 0 && totals.pruned > 0, "{totals:?}");
         assert!(dead_replaced > 0, "no dead pattern was replaced");
+        assert!(
+            (searched as usize) < bounded,
+            "{searched} searches for {bounded} bounded candidates considered"
+        );
     }
 
     #[test]
@@ -1489,20 +1547,14 @@ mod tests {
         let (mut set, mut bitsets, cands) = two_improving_swaps();
         vqi_observe::set_enabled(true);
         let w = QualityWeights::default();
-        let stats = swap_refine(
-            &mut set,
-            &mut bitsets,
-            cands,
-            5,
-            w,
-            "test.keyed.swap",
-            "test:swap",
-        );
+        let stats = swap_refine(&mut set, &mut bitsets, cands, 5, w, "test.keyed.swap");
         let counters = vqi_observe::snapshot().counters;
         vqi_observe::set_enabled(false);
         assert_eq!(counters["test.keyed.swap.accepted"], stats.swaps as u64);
         assert_eq!(counters["test.keyed.swap.considered"], 2);
         assert_eq!(counters["test.keyed.swap.pruned"], stats.pruned as u64);
         assert_eq!(counters["test.keyed.swap.scans"], stats.scans as u64);
+        // exact candidates are never searched
+        assert_eq!(counters["test.keyed.swap.searched"], 0);
     }
 }

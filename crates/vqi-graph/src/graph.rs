@@ -90,6 +90,29 @@ impl Graph {
         }
     }
 
+    /// A graph of the given nodes and edges, edge `i` being `edges[i]`.
+    /// Each adjacency row is sized in one degree pass and filled in
+    /// edge-id order, as [`Graph::add_edge`] fills it. The edges must be
+    /// valid for [`Graph::add_edge`]: distinct, in range, no self-loop.
+    pub(crate) fn from_edge_data(node_labels: Vec<Label>, edges: Vec<EdgeData>) -> Self {
+        let mut degree = vec![0usize; node_labels.len()];
+        for e in &edges {
+            degree[e.u.index()] += 1;
+            degree[e.v.index()] += 1;
+        }
+        let mut adj: Vec<Vec<(NodeId, EdgeId)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for (i, e) in edges.iter().enumerate() {
+            adj[e.u.index()].push((e.v, EdgeId(i as u32)));
+            adj[e.v.index()].push((e.u, EdgeId(i as u32)));
+        }
+        Graph {
+            node_labels,
+            edges,
+            adj,
+        }
+    }
+
     /// Adds a node with the given label and returns its id.
     pub fn add_node(&mut self, label: Label) -> NodeId {
         let id = NodeId(self.node_labels.len() as u32);

@@ -34,7 +34,7 @@
 //! against the heap `Graph`'s tens of GB, which is what makes the
 //! `exp_scale` ceiling fit this machine.
 
-use crate::graph::{EdgeId, Graph, Label, NodeId, SortedAdjacency};
+use crate::graph::{EdgeData, EdgeId, Graph, Label, NodeId, SortedAdjacency};
 use rand::splitmix64;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -274,15 +274,7 @@ impl CsrGraph {
     /// Reconstructs a heap [`Graph`] with identical ids, labels, and
     /// adjacency order. Inverse of [`CsrGraph::from_graph`].
     pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::with_capacity(self.node_count(), self.edge_count());
-        for &l in &self.node_labels {
-            g.add_node(l);
-        }
-        for (i, &(u, v)) in self.endpoints.iter().enumerate() {
-            let added = g.add_edge(u, v, self.edge_labels[i]);
-            debug_assert!(added.is_some(), "CSR image held an invalid edge");
-        }
-        g
+        prefix_graph_of(self, self.node_count())
     }
 
     /// Total bytes of the packed arrays (the `mem.*` gauge figure).
@@ -731,18 +723,6 @@ pub fn induced_subgraph_of<S: GraphStorage + ?Sized>(
     g: &S,
     nodes: &[NodeId],
 ) -> (Graph, Vec<NodeId>) {
-    let (sub, mapping, _) = induced_subgraph_with_edges(g, nodes);
-    (sub, mapping)
-}
-
-/// [`induced_subgraph_of`] that additionally returns, for each subgraph
-/// edge id `i`, the original edge id it came from (`edge_map[i]`) —
-/// what sharded TATTOO needs to translate per-shard coverage back into
-/// global edge bits.
-pub fn induced_subgraph_with_edges<S: GraphStorage + ?Sized>(
-    g: &S,
-    nodes: &[NodeId],
-) -> (Graph, Vec<NodeId>, Vec<EdgeId>) {
     let mut index = vec![u32::MAX; g.node_count()];
     let mut mapping = Vec::with_capacity(nodes.len());
     let mut sub = Graph::with_capacity(nodes.len(), nodes.len());
@@ -752,22 +732,53 @@ pub fn induced_subgraph_with_edges<S: GraphStorage + ?Sized>(
             mapping.push(n);
         }
     }
-    let mut edge_map = Vec::new();
     for &n in &mapping {
         for &(m, e) in g.neighbor_slice(n) {
             if index[m.index()] != u32::MAX && n < m {
-                let added = sub.add_edge(
+                sub.add_edge(
                     NodeId(index[n.index()]),
                     NodeId(index[m.index()]),
                     g.edge_label(e),
                 );
-                if added.is_some() {
-                    edge_map.push(e);
-                }
             }
         }
     }
-    (sub, mapping, edge_map)
+    (sub, mapping)
+}
+
+/// A heap [`Graph`] of the node ids `0..nodes` of `g` and the edges
+/// among them, with labels, edge orientation and edge-id order kept. So
+/// every adjacency row is `g`'s row with the edges leaving the prefix
+/// dropped, and with `nodes == g.node_count()` the result is `g` id for
+/// id whichever backend `g` is ([`CsrGraph::to_graph`]). A shorter
+/// prefix is read from its own rows, so its cost follows the prefix,
+/// not `g`.
+pub fn prefix_graph_of<S: GraphStorage + ?Sized>(g: &S, nodes: usize) -> Graph {
+    let edge = |e: EdgeId| {
+        let (u, v) = g.endpoints(e);
+        EdgeData {
+            u,
+            v,
+            label: g.edge_label(e),
+        }
+    };
+    let edges: Vec<EdgeData> = if nodes == g.node_count() {
+        (0..g.edge_count() as u32).map(EdgeId).map(edge).collect()
+    } else {
+        // each inner edge once, from its lower endpoint's row
+        let mut ids = Vec::new();
+        for n in 0..nodes as u32 {
+            for &(m, e) in g.neighbor_slice(NodeId(n)) {
+                if n < m.0 && m.index() < nodes {
+                    ids.push(e);
+                }
+            }
+        }
+        ids.sort_unstable();
+        ids.into_iter().map(edge).collect()
+    };
+    let labels = (0..nodes as u32).map(|v| g.node_label(NodeId(v))).collect();
+    Graph::from_edge_data(labels, edges)
 }
 
 #[cfg(test)]
@@ -857,15 +868,33 @@ mod tests {
             let c = CsrGraph::from_graph(&g);
             let nodes: Vec<NodeId> = (0..30).map(NodeId).collect();
             assert_eq!(g.induced_subgraph(&nodes), induced_subgraph_of(&c, &nodes));
-            // the edge map points every subgraph edge at its original
-            let (s3, m3, emap) = induced_subgraph_with_edges(&c, &nodes);
-            assert_eq!(emap.len(), s3.edge_count());
-            for (i, &orig) in emap.iter().enumerate() {
-                let (su, sv) = s3.endpoints(EdgeId(i as u32));
-                let (ou, ov) = g.endpoints(orig);
-                let mapped = (m3[su.index()], m3[sv.index()]);
-                assert!(mapped == (ou, ov) || mapped == (ov, ou));
-                assert_eq!(s3.edge_label(EdgeId(i as u32)), g.edge_label(orig));
+        }
+    }
+
+    #[test]
+    fn storage_prefix_graph_keeps_ids_and_edge_order_on_both_backends() {
+        for seed in 0..6u64 {
+            let g = labeled_random(seed);
+            let c = CsrGraph::from_graph(&g);
+            let n = g.node_count();
+            assert!(prefix_graph_of(&g, n) == g, "seed {seed}: heap copy");
+            assert!(prefix_graph_of(&c, n) == g, "seed {seed}: CSR copy");
+            for cut in [0, 1, n / 3, n - 1] {
+                let (heap, packed) = (prefix_graph_of(&g, cut), prefix_graph_of(&c, cut));
+                assert!(heap == packed, "seed {seed} cut {cut}: backends differ");
+                // the prefix's edges are g's edges inside it, in id order
+                let inside: Vec<(NodeId, NodeId, Label)> = g
+                    .edges()
+                    .map(|e| (g.endpoints(e), g.edge_label(e)))
+                    .filter(|&((u, v), _)| u.index() < cut && v.index() < cut)
+                    .map(|((u, v), l)| (u, v, l))
+                    .collect();
+                let got: Vec<(NodeId, NodeId, Label)> = heap
+                    .edges()
+                    .map(|e| (heap.endpoints(e).0, heap.endpoints(e).1, heap.edge_label(e)))
+                    .collect();
+                assert_eq!(got, inside, "seed {seed} cut {cut}");
+                assert_eq!(heap.node_count(), cut);
             }
         }
     }
