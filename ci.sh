@@ -119,8 +119,13 @@ echo "== incremental consistency suite (delta kernels vs from-scratch) =="
 # the incremental maintainers must be bit-identical to a fresh peel /
 # census after every batch, at any worker count: property tests sweep
 # 12 seeds x insert/delete/mixed batches internally and pin caps 1/2/4,
-# and the consumers (tattoo network maintainer, MIDAS cached census)
-# re-verify against their own from-scratch paths; the in-place graph
+# and 12 seeds of scripted edge cases (a pair removed and re-added,
+# triangles removed together, a triangle closed by inserts only,
+# appended nodes, hub endpoints) pin caps 1/4; the consumers (tattoo network maintainer, MIDAS cached
+# census) re-verify against their own from-scratch paths, and the
+# standalone truss and census maintainers, replayed as the churn
+# benchmark replays them, must land on the network maintainer's region
+# sizes, distribution and trussness after every batch; the in-place graph
 # edit plus the patched index must equal a rebuild plus a fresh index
 # build (16 seeds of edge-case batches), and the network maintainer its
 # old rebuild path; the closed-form star coverage must equal an
@@ -138,14 +143,15 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-graph maintainer_matches_fresh_peel_across_batches
     VQI_NUM_THREADS=$threads named_test -p vqi-graph census_maintainer_matches_fresh_count_across_batches
     VQI_NUM_THREADS=$threads named_test -p vqi-graph deletion_edge_cases_match_fresh_peel
+    VQI_NUM_THREADS=$threads named_test -p vqi-graph edge_case_batches_match_fresh_
     VQI_NUM_THREADS=$threads named_test -p tattoo incremental_kernels_and_caches_track_mutations
+    VQI_NUM_THREADS=$threads named_test -p tattoo standalone_maintainers_match_the_network_maintainer
     VQI_NUM_THREADS=$threads named_test -p vqi-graph --test properties in_place_edit_and_patched_index_equal_a_rebuild
     VQI_NUM_THREADS=$threads named_test -p tattoo in_place_maintenance_equals_the_rebuild_oracle
     VQI_NUM_THREADS=$threads named_test -p vqi-core star_coverage_equals_uncapped_enumeration
     VQI_NUM_THREADS=$threads named_test -p vqi-core edge_coverage_bitsets_match_plain_covered_edges
     VQI_NUM_THREADS=$threads named_test -p tattoo patched_coverage_equals_a_fresh_recompute_after_every_batch
     VQI_NUM_THREADS=$threads named_test -p midas cached_census_matches_full_recompute
-    VQI_NUM_THREADS=$threads named_test -p midas windowed_drift_escalates_sub_threshold_batches
     VQI_NUM_THREADS=$threads named_test -p midas fct_vectors_
 done
 

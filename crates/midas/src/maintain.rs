@@ -44,16 +44,6 @@ pub struct MidasConfig {
     pub weights: QualityWeights,
     /// RNG seed.
     pub seed: u64,
-    /// Number of recent batches whose per-batch GFD drifts are summed
-    /// into the sliding-window drift signal that decides minor vs
-    /// major. At the default `1` the decision depends on the current
-    /// batch alone (the classic MIDAS rule); larger windows let slow
-    /// structural shifts — each batch individually below
-    /// `drift_threshold` — still escalate to a major modification once
-    /// their accumulated drift crosses the threshold. The window is
-    /// cleared after every major modification (maintenance re-baselines
-    /// the stream) and failed censuses contribute nothing.
-    pub drift_window: usize,
 }
 
 impl Default for MidasConfig {
@@ -69,7 +59,6 @@ impl Default for MidasConfig {
             swap_scans: 8,
             weights: QualityWeights::default(),
             seed: 0x314DA5,
-            drift_window: 1,
         }
     }
 }
@@ -114,11 +103,6 @@ pub struct MaintenanceReport {
     pub candidates_pruned: usize,
     /// Clusters whose membership changed (CSG rebuilt).
     pub clusters_touched: usize,
-    /// Sliding-window drift signal: the sum of the last
-    /// [`MidasConfig::drift_window`] per-batch GFD drifts (this batch
-    /// included). This, not `gfd_distance`, is what the minor/major
-    /// decision compares against `drift_threshold`.
-    pub windowed_drift: f64,
     /// How the census behind `gfd_distance` was obtained.
     pub census_mode: CensusMode,
     /// Graphs whose graphlet counts were computed fresh this pass.
@@ -157,9 +141,6 @@ pub struct Midas {
     /// valid for as long as its graph lives; dead entries are pruned on
     /// every successful census.
     census_cache: HashMap<usize, GraphletCounts>,
-    /// Per-batch GFD drifts of recent successful censuses, oldest
-    /// first; the sliding-window signal sums its `drift_window` tail.
-    drift_series: Vec<f64>,
 }
 
 impl Midas {
@@ -224,7 +205,6 @@ impl Midas {
             pattern_bitsets,
             gfd,
             census_cache,
-            drift_series: Vec::new(),
         }
     }
 
@@ -309,7 +289,6 @@ impl Midas {
                 candidates_considered: 0,
                 candidates_pruned: 0,
                 clusters_touched: 0,
-                windowed_drift: 0.0,
                 census_mode: CensusMode::Skipped,
                 census_computed: 0,
                 census_reused: 0,
@@ -518,10 +497,7 @@ impl Midas {
         // counted) and a failed census keeps the previous distribution
         // and reports no measured drift: pattern maintenance is skipped
         // for this batch, and the next successful census sees the
-        // accumulated drift instead. The decision compares the
-        // *windowed* drift — the sum of the last `drift_window`
-        // per-batch drifts — so slow shifts spread across batches still
-        // escalate instead of being re-baselined away each pass.
+        // accumulated drift instead.
         let gfd_span = vqi_observe::span("midas.gfd_drift");
         let (cache, collection) = (&mut self.census_cache, &self.collection);
         let census = run_stage(ctrl, "midas.gfd", || {
@@ -529,34 +505,24 @@ impl Midas {
             Self::collection_gfd_cached(cache, collection, ctrl)
         })
         .and_then(|r| r);
-        let (gfd_distance, windowed_drift, census_mode, census_computed, census_reused) =
-            match census {
-                Ok((new_gfd, computed, reused)) => {
-                    let d = euclidean_distance(&self.gfd, &new_gfd);
-                    self.gfd = new_gfd;
-                    let w = self.config.drift_window.max(1);
-                    self.drift_series.push(d);
-                    if self.drift_series.len() > 4 * w {
-                        let cut = self.drift_series.len() - w;
-                        self.drift_series.drain(..cut);
-                    }
-                    let len = self.drift_series.len();
-                    let windowed: f64 = self.drift_series[len.saturating_sub(w)..].iter().sum();
-                    let mode = if reused > 0 {
-                        CensusMode::Delta
-                    } else {
-                        CensusMode::Full
-                    };
-                    (d, windowed, mode, computed, reused)
-                }
-                Err(e) => {
-                    deg.absorb(ctrl, e)?;
-                    (0.0, 0.0, CensusMode::Skipped, 0, 0)
-                }
-            };
+        let (gfd_distance, census_mode, census_computed, census_reused) = match census {
+            Ok((new_gfd, computed, reused)) => {
+                let d = euclidean_distance(&self.gfd, &new_gfd);
+                self.gfd = new_gfd;
+                let mode = if reused > 0 {
+                    CensusMode::Delta
+                } else {
+                    CensusMode::Full
+                };
+                (d, mode, computed, reused)
+            }
+            Err(e) => {
+                deg.absorb(ctrl, e)?;
+                (0.0, CensusMode::Skipped, 0, 0)
+            }
+        };
         drop(gfd_span);
         vqi_observe::gauge_set("midas.gfd_distance_e6", (gfd_distance * 1e6) as i64);
-        vqi_observe::gauge_set("midas.windowed_drift_e6", (windowed_drift * 1e6) as i64);
 
         // bitsets must reflect the updated collection in either case
         self.pattern_bitsets = Self::bitsets_for(&self.patterns, &self.collection);
@@ -564,7 +530,7 @@ impl Midas {
         // whatever the drift, so the swap below can replace it
         let dead_pattern = self.pattern_bitsets.iter().any(|b| !b.any());
 
-        if windowed_drift < self.config.drift_threshold && !dead_pattern {
+        if gfd_distance < self.config.drift_threshold && !dead_pattern {
             vqi_observe::incr("midas.drift.minor", 1);
             return Ok(MaintenanceReport {
                 modification: Modification::Minor,
@@ -573,7 +539,6 @@ impl Midas {
                 candidates_considered: 0,
                 candidates_pruned: 0,
                 clusters_touched: touched.len(),
-                windowed_drift,
                 census_mode,
                 census_computed,
                 census_reused,
@@ -581,9 +546,6 @@ impl Midas {
         }
 
         vqi_observe::incr("midas.drift.major", 1);
-        // maintenance acts on the accumulated drift: re-baseline the
-        // sliding window so the next batches measure fresh drift
-        self.drift_series.clear();
 
         // 5. major: candidates from touched CSGs, then multi-scan
         // swapping. A lost candidate stage degrades to an empty swap
@@ -652,7 +614,6 @@ impl Midas {
             candidates_considered: stats.considered,
             candidates_pruned: stats.pruned,
             clusters_touched: touched.len(),
-            windowed_drift,
             census_mode,
             census_computed,
             census_reused,
@@ -1009,74 +970,6 @@ mod tests {
         assert_eq!(r2.census_computed, 0);
         assert_eq!(r2.census_reused, m.collection.len());
         assert_eq!(m.gfd().map(f64::to_bits), fresh(&m).map(f64::to_bits));
-    }
-
-    #[test]
-    fn windowed_drift_escalates_sub_threshold_batches() {
-        let _guard = crate::fault_test_lock();
-        let batch_a = || vec![clique(5, 3, 0), clique(5, 3, 0)];
-        let batch_b = || vec![star(6, 4, 0), star(6, 4, 0)];
-        // probe pass: measure each batch's individual drift with the
-        // threshold out of reach, so both land as minor
-        let probe_cfg = MidasConfig {
-            drift_threshold: f64::INFINITY,
-            ..Default::default()
-        };
-        let mut probe =
-            Midas::bootstrap(GraphCollection::new(initial_graphs()), budget(), probe_cfg);
-        let d1 = probe
-            .apply_update(BatchUpdate::adding(batch_a()))
-            .gfd_distance;
-        let d2 = probe
-            .apply_update(BatchUpdate::adding(batch_b()))
-            .gfd_distance;
-        assert!(
-            d1 > 0.0 && d2 > 0.0,
-            "probe batches must drift ({d1}, {d2})"
-        );
-        // a threshold no single batch reaches but the two-batch window does
-        let threshold = d1.max(d2) + d1.min(d2) / 2.0;
-
-        // window 1 (the classic rule): both batches stay minor
-        let mut classic = Midas::bootstrap(
-            GraphCollection::new(initial_graphs()),
-            budget(),
-            MidasConfig {
-                drift_threshold: threshold,
-                ..Default::default()
-            },
-        );
-        let r1 = classic.apply_update(BatchUpdate::adding(batch_a()));
-        let r2 = classic.apply_update(BatchUpdate::adding(batch_b()));
-        assert_eq!(r1.modification, Modification::Minor);
-        assert_eq!(r2.modification, Modification::Minor);
-
-        // window 2: the same stream escalates on the second batch
-        let mut windowed = Midas::bootstrap(
-            GraphCollection::new(initial_graphs()),
-            budget(),
-            MidasConfig {
-                drift_threshold: threshold,
-                drift_window: 2,
-                ..Default::default()
-            },
-        );
-        let r1 = windowed.apply_update(BatchUpdate::adding(batch_a()));
-        assert_eq!(r1.modification, Modification::Minor);
-        assert_eq!(
-            r1.gfd_distance, d1,
-            "same stream must measure the same drift"
-        );
-        assert_eq!(r1.windowed_drift, d1);
-        let r2 = windowed.apply_update(BatchUpdate::adding(batch_b()));
-        assert_eq!(r2.modification, Modification::Major);
-        assert_eq!(r2.gfd_distance, d2);
-        assert_eq!(r2.windowed_drift, d1 + d2);
-        // the major pass re-baselined the window: an empty batch drifts
-        // nothing and stays minor
-        let r3 = windowed.apply_update(BatchUpdate::adding(vec![]));
-        assert_eq!(r3.modification, Modification::Minor);
-        assert_eq!(r3.windowed_drift, 0.0);
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! periodically-updated collections, so maintenance is driven by **edge
 //! batches** and locality:
 //!
-//! 1. the update is applied in place: [`Graph::apply_batch`] drops the
-//!    removed edges in one order-preserving pass and appends the new
-//!    nodes and edges, and [`GraphIndex::patch`] moves the network's
-//!    index by the same edit, so the work follows the batch and the
-//!    result equals a rebuild of network and index from scratch;
+//! 1. the update is applied in place: [`Graph::apply_batch_removing`]
+//!    drops the removed edges in one order-preserving pass and appends
+//!    the new nodes and edges, and [`GraphIndex::patch`] moves the
+//!    network's index by the same edit, so the work follows the batch
+//!    and the result equals a rebuild of network and index from
+//!    scratch. The k-truss ([`TrussState`]) and graphlet census
+//!    ([`GraphletCounts`]) hold no adjacency of their own: they read
+//!    the network's rows, each removal before the edit and each
+//!    addition after it (the two phases of [`vqi_graph::delta`]), and
+//!    the truss keeps its per-edge values by network edge id;
 //! 2. the coverage bitsets follow the edit. A star pattern (one
 //!    [`coverage_star`] accepts, whose closed-form bound is its exact
 //!    coverage; see [`vqi_graph::star`]) keeps a node bitset of the
@@ -52,11 +57,13 @@ use vqi_core::budget::PatternBudget;
 use vqi_core::pattern::PatternSet;
 use vqi_core::score::{coverage_star, edge_coverage_bitsets, set_score_bitsets, QualityWeights};
 use vqi_core::select::swap_refine;
-use vqi_graph::graphlet::{euclidean_distance, CensusMaintainer, GRAPHLET_CLASSES};
+use vqi_graph::graphlet::{
+    count_graphlets_par, euclidean_distance, GraphletCounts, GRAPHLET_CLASSES,
+};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::star::Star;
-use vqi_graph::truss::{TrussDecomposition, TrussMaintainer};
-use vqi_graph::{EdgeDelta, Graph, GraphEdit, NodeId};
+use vqi_graph::truss::{TrussDecomposition, TrussState};
+use vqi_graph::{EdgeId, Graph, GraphEdit, NodeId};
 
 pub use vqi_graph::EdgeBatch;
 
@@ -150,14 +157,19 @@ pub struct NetworkMaintainer {
     /// Label index over the current network, patched with every edit
     /// so every coverage match goes through the indexed kernel.
     network_index: GraphIndex,
-    /// Incrementally maintained k-truss of the current network: batch
-    /// updates re-peel only the affected region, and the major-path
-    /// region split reads maintained trussness instead of re-peeling.
-    truss: TrussMaintainer,
+    /// Incrementally maintained k-truss of the current network, by its
+    /// edge ids: batch updates re-peel only the affected region, and
+    /// the major-path region split reads maintained trussness instead
+    /// of re-peeling.
+    truss: TrussState,
     /// Incrementally maintained graphlet census of the current network,
     /// used to report per-batch structural drift.
-    census: CensusMaintainer,
+    census: GraphletCounts,
 }
+
+/// What the kernels' first phase hands to the second: the truss seeds
+/// and the graphlet distribution before the batch.
+type BeforeEdit = (Vec<EdgeId>, [f64; GRAPHLET_CLASSES]);
 
 impl NetworkMaintainer {
     /// Wraps an initial network with an already-selected pattern set
@@ -169,8 +181,8 @@ impl NetworkMaintainer {
         config: MaintainConfig,
     ) -> Self {
         let network_index = GraphIndex::build(&network);
-        let truss = TrussMaintainer::new(&network);
-        let census = CensusMaintainer::new(&network);
+        let truss = TrussState::new(&network);
+        let census = count_graphlets_par(&network);
         let mut m = NetworkMaintainer {
             config,
             budget,
@@ -296,15 +308,24 @@ impl NetworkMaintainer {
     pub fn apply_batch(&mut self, batch: EdgeBatch) -> NetworkMaintenanceReport {
         let churn = self.churn_of(&batch);
         // 1. edit the network in place and move its index by the same
-        // edit; the effective mutations (removals that hit a live edge,
-        // additions the graph accepted) are the delta the incremental
-        // kernels see
-        let edit = self.network.apply_batch(&batch);
+        // edit; the incremental kernels read each removal on the network
+        // before the edit and each addition after it
+        let dead = self.network.removal_ids(&batch);
+        let before = self.before_edit(&dead);
+        let edit = self.network.apply_batch_removing(&batch, dead);
         self.network_index.patch(&self.network, &edit);
         // 2. the coverage follows the edit
         self.patch_coverage(&edit);
         let touched: Vec<NodeId> = edit.touched.iter().map(|&(v, _)| v).collect();
-        self.maintain(churn, &edit.delta, &touched)
+        self.maintain(churn, &edit, before, &touched)
+    }
+
+    /// The kernels' first phase, on the network before the edit: the
+    /// removals `dead` leave the truss and census state.
+    fn before_edit(&mut self, dead: &[EdgeId]) -> BeforeEdit {
+        let gfd_before = self.census.distribution();
+        self.census.before_edit(&self.network, dead);
+        (self.truss.before_edit(&self.network, dead), gfd_before)
     }
 
     /// Changed edges of `batch` over the current (pre-batch) edge count.
@@ -313,23 +334,19 @@ impl NetworkMaintainer {
         changed as f64 / self.network.edge_count().max(1) as f64
     }
 
-    /// Everything after the edit and the coverage patch: the kernels
-    /// absorb `delta`, and a major batch extracts candidates around
-    /// `touched` (the changed endpoints, ascending) and swaps.
+    /// Everything after the edit and the coverage patch: the kernels'
+    /// second phase absorbs the additions of `edit` and re-peels only
+    /// the affected region, and a major batch extracts candidates
+    /// around `touched` (the changed endpoints, ascending) and swaps.
     fn maintain(
         &mut self,
         churn: f64,
-        delta: &EdgeDelta,
+        edit: &GraphEdit,
+        (seeds, gfd_before): BeforeEdit,
         touched: &[NodeId],
     ) -> NetworkMaintenanceReport {
-        let gfd_before = self.census.distribution();
-        // incremental kernels: grow to the appended node space, then
-        // re-peel / re-count only what the delta touched
-        let n = self.network.node_count();
-        self.truss.grow_nodes(n);
-        self.census.grow_nodes(n);
-        let truss_stats = self.truss.apply(delta);
-        self.census.apply(delta);
+        let truss_stats = self.truss.after_edit(&self.network, edit, seeds);
+        self.census.after_edit(&self.network, edit);
         let graphlet_drift = euclidean_distance(&gfd_before, &self.census.distribution());
 
         if churn < self.config.churn_threshold || touched.is_empty() {
@@ -364,10 +381,11 @@ impl NetworkMaintainer {
         let (mut infested_edges, mut oblivious_edges) = (Vec::new(), Vec::new());
         for e in region.edges() {
             let (ru, rv) = region.endpoints(e);
-            let t = self
-                .truss
-                .trussness_of(node_map[ru.index()], node_map[rv.index()])
-                .unwrap_or(0);
+            let id = self
+                .network
+                .edge_between(node_map[ru.index()], node_map[rv.index()])
+                .expect("a region edge is a network edge");
+            let t = self.truss.trussness()[id.index()];
             region_truss[e.index()] = t;
             if t >= self.config.truss_k {
                 infested_edges.push(e);
@@ -436,8 +454,9 @@ mod tests {
     /// The rebuild `apply_batch` used before it edited in place: a
     /// fresh copy of the network without the removed edges and with the
     /// additions, a fresh index of it, and coverage computed from
-    /// scratch. Kept as the oracle the in-place edit and the coverage
-    /// patch must equal.
+    /// scratch, with the kernels' two phases around the rebuild. Kept
+    /// as the oracle the in-place edit and the coverage patch must
+    /// equal.
     fn apply_by_rebuild(m: &mut NetworkMaintainer, batch: EdgeBatch) -> NetworkMaintenanceReport {
         let churn = m.churn_of(&batch);
         let removals: std::collections::HashSet<(u32, u32)> = batch
@@ -446,7 +465,8 @@ mod tests {
             .map(|&(a, b)| if a <= b { (a, b) } else { (b, a) })
             .collect();
         let mut touched: Vec<NodeId> = Vec::new();
-        let mut delta = EdgeDelta::new();
+        let mut dead: Vec<EdgeId> = Vec::new();
+        let mut delta = vqi_graph::EdgeDelta::new();
         let mut next = Graph::new();
         for v in m.network.nodes() {
             next.add_node(m.network.node_label(v));
@@ -459,6 +479,7 @@ mod tests {
             let key = if u.0 <= v.0 { (u.0, v.0) } else { (v.0, u.0) };
             if removals.contains(&key) {
                 touched.extend([u, v]);
+                dead.push(e);
                 delta.deletes.push(key);
             } else {
                 next.add_edge(u, v, m.network.edge_label(e));
@@ -470,12 +491,18 @@ mod tests {
                 delta.inserts.push((u, v));
             }
         }
+        let before = m.before_edit(&dead);
         m.network = next;
         m.network_index = GraphIndex::build(&m.network);
         m.refresh_coverage();
         touched.sort_unstable();
         touched.dedup();
-        m.maintain(churn, &delta, &touched)
+        let edit = GraphEdit {
+            delta,
+            removed_ids: dead,
+            ..GraphEdit::default()
+        };
+        m.maintain(churn, &edit, before, &touched)
     }
 
     /// A churn-shaped batch: `removals` live edges out, `additions`
@@ -545,6 +572,46 @@ mod tests {
                 "seed {seed}: {minor} minor, {major} major"
             );
         }
+    }
+
+    /// The standalone truss and census maintainers, driven as a churn
+    /// replay drives them (a copy of the network, each batch's effective
+    /// delta, node growth first), land on the network maintainer's
+    /// region sizes, distribution and trussness after every batch.
+    #[test]
+    fn standalone_maintainers_match_the_network_maintainer() {
+        use vqi_graph::graphlet::CensusMaintainer;
+        use vqi_graph::truss::TrussMaintainer;
+        let _guard = crate::fault_test_lock();
+        for cap in [1usize, 4] {
+            vqi_graph::par::set_thread_cap(cap);
+            let mut m = bootstrap(220, 7);
+            let mut census = CensusMaintainer::new(&m.network);
+            let mut truss = TrussMaintainer::new(&m.network);
+            let mut rng = SmallRng::seed_from_u64(7);
+            for round in 0..12 {
+                let ctx = format!("cap {cap} batch {round}");
+                let edges = m.network.edge_count();
+                let changed = if round % 3 == 2 { edges / 25 } else { 4 };
+                let (out, into) = (changed / 2, changed - changed / 2);
+                let batch = if round % 2 == 0 {
+                    churn_batch(&m.network, out, into, round, &mut rng)
+                } else {
+                    hub_batch(&m.network, out, into, false, &mut rng)
+                };
+                let delta = m.network.clone().apply_batch(&batch).delta;
+                let report = m.apply_batch(batch);
+                let n = m.network.node_count();
+                census.grow_nodes(n);
+                truss.grow_nodes(n);
+                census.apply(&delta);
+                let stats = truss.apply(&delta);
+                assert_eq!(stats.region_edges, report.truss_region_edges, "{ctx}");
+                assert_eq!(census.distribution(), m.graphlet_distribution(), "{ctx}");
+                assert_eq!(truss.trussness(), m.truss.trussness(), "{ctx}");
+            }
+        }
+        vqi_graph::par::set_thread_cap(0);
     }
 
     /// The node of largest degree (the lowest id among ties).
@@ -869,7 +936,6 @@ mod tests {
     #[test]
     fn incremental_kernels_and_caches_track_mutations() {
         let _guard = crate::fault_test_lock();
-        use vqi_graph::graphlet::count_graphlets_par;
         use vqi_graph::truss::trussness;
         let mut m = bootstrap(200, 6);
         // additions first (grows the node space), then removals, so
@@ -894,16 +960,13 @@ mod tests {
         // the maintained kernels must equal a from-scratch run on the
         // current network
         assert_eq!(
-            m.truss
-                .trussness_for(&m.network)
-                .expect("maintainer in sync"),
+            m.truss.trussness(),
             trussness(&m.network),
             "incremental trussness diverged from a fresh peel"
         );
         let fresh_census = count_graphlets_par(&m.network);
         assert_eq!(
-            m.census.counts(),
-            &fresh_census,
+            m.census, fresh_census,
             "incremental census diverged from a fresh count"
         );
 

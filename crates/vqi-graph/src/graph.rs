@@ -121,15 +121,6 @@ impl Graph {
         id
     }
 
-    /// Adds `n` nodes all carrying `label`; returns the id of the first.
-    pub fn add_nodes(&mut self, n: usize, label: Label) -> NodeId {
-        let first = NodeId(self.node_labels.len() as u32);
-        for _ in 0..n {
-            self.add_node(label);
-        }
-        first
-    }
-
     /// Adds an undirected edge `u -- v` with the given label.
     ///
     /// Returns `None` (and leaves the graph unchanged) for self-loops,
@@ -198,15 +189,30 @@ impl Graph {
     /// removed once, and a removed pair may be re-added by the same
     /// batch. Returns what changed.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> GraphEdit {
-        let old_node_count = self.node_count();
+        let dead = self.removal_ids(batch);
+        self.apply_batch_removing(batch, dead)
+    }
+
+    /// The live edges `batch` removes, ascending and distinct: the
+    /// first step of [`Graph::apply_batch`], for callers that must read
+    /// each removal on the graph before the edit.
+    pub fn removal_ids(&self, batch: &EdgeBatch) -> Vec<EdgeId> {
+        let n = self.node_count();
         let mut dead: Vec<EdgeId> = batch
             .edge_removals
             .iter()
-            .filter(|&&(a, b)| (a as usize) < old_node_count && (b as usize) < old_node_count)
+            .filter(|&&(a, b)| (a as usize) < n && (b as usize) < n)
             .filter_map(|&(a, b)| self.edge_between(NodeId(a), NodeId(b)))
             .collect();
         dead.sort_unstable();
         dead.dedup();
+        dead
+    }
+
+    /// The rest of [`Graph::apply_batch`], given `dead ==
+    /// self.removal_ids(batch)`.
+    pub fn apply_batch_removing(&mut self, batch: &EdgeBatch, dead: Vec<EdgeId>) -> GraphEdit {
+        let old_node_count = self.node_count();
         let removed = self.remove_edges(&dead);
         for &l in &batch.node_additions {
             self.add_node(l);
@@ -340,20 +346,6 @@ impl Graph {
             .map(|&(_, e)| e)
     }
 
-    /// Freezes a [`SortedAdjacency`] view of the current graph for
-    /// O(log degree) edge lookups. Rows are built in parallel
-    /// (order-stable); the view is a snapshot and does not track edges
-    /// added afterwards.
-    pub fn sorted_adjacency(&self) -> SortedAdjacency {
-        SortedAdjacency {
-            rows: crate::par::map_range(self.node_count(), |u| {
-                let mut row: Vec<(NodeId, EdgeId)> = self.adj[u].clone();
-                row.sort_unstable_by_key(|&(n, _)| n);
-                row
-            }),
-        }
-    }
-
     /// Replaces the label of node `n`.
     pub fn set_node_label(&mut self, n: NodeId, label: Label) {
         self.node_labels[n.index()] = label;
@@ -449,120 +441,6 @@ impl Graph {
     /// A short human-readable summary, e.g. `Graph(n=5, m=6)`.
     pub fn summary(&self) -> String {
         format!("Graph(n={}, m={})", self.node_count(), self.edge_count())
-    }
-}
-
-/// A frozen adjacency view with every row sorted by neighbor id, so edge
-/// lookups are binary searches instead of the linear scans of
-/// [`Graph::edge_between`] — the difference between an O(deg²) and an
-/// O(deg·log deg) truss peel on dense regions. Answers are identical to
-/// the `Graph` methods; only the lookup cost changes.
-#[derive(Debug, Clone)]
-pub struct SortedAdjacency {
-    rows: Vec<Vec<(NodeId, EdgeId)>>,
-}
-
-impl SortedAdjacency {
-    /// The neighbors of `v` as (neighbor, edge id) pairs sorted by
-    /// neighbor id.
-    #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.rows[v.index()]
-    }
-
-    /// The edge between `u` and `v`, if any, by binary search over the
-    /// smaller row.
-    #[inline]
-    pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let (a, b) = if self.rows[u.index()].len() <= self.rows[v.index()].len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        let row = &self.rows[a.index()];
-        row.binary_search_by_key(&b, |&(n, _)| n)
-            .ok()
-            .map(|i| row[i].1)
-    }
-
-    /// True if an edge `u -- v` exists.
-    #[inline]
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_between(u, v).is_some()
-    }
-
-    /// Number of rows (nodes) in the view.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    // The hooks below let the delta maintainers (`truss::TrussMaintainer`,
-    // `graphlet::CensusMaintainer`) keep a SortedAdjacency live across
-    // edge insert/delete batches. They are crate-private: the public
-    // contract of SortedAdjacency stays "a frozen snapshot" everywhere
-    // else.
-
-    /// Grows the view to `n` rows (new rows empty).
-    pub(crate) fn grow_rows(&mut self, n: usize) {
-        if n > self.rows.len() {
-            self.rows.resize(n, Vec::new());
-        }
-    }
-
-    /// Inserts edge `e` between `u` and `v`, keeping both rows sorted.
-    /// Returns false (and changes nothing) if the edge already exists.
-    pub(crate) fn insert_sorted(&mut self, u: NodeId, v: NodeId, e: EdgeId) -> bool {
-        if u == v || self.has_edge(u, v) {
-            return false;
-        }
-        for (a, b) in [(u, v), (v, u)] {
-            let row = &mut self.rows[a.index()];
-            let at = row.partition_point(|&(n, _)| n < b);
-            row.insert(at, (b, e));
-        }
-        true
-    }
-
-    /// Removes the edge between `u` and `v`, keeping both rows sorted.
-    /// Returns the removed edge id, or None if no such edge exists.
-    pub(crate) fn remove_sorted(&mut self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let e = self.edge_between(u, v)?;
-        for (a, b) in [(u, v), (v, u)] {
-            let row = &mut self.rows[a.index()];
-            if let Ok(at) = row.binary_search_by_key(&b, |&(n, _)| n) {
-                row.remove(at);
-            }
-        }
-        Some(e)
-    }
-
-    /// Calls `f(w, uw, vw)` for every common neighbor `w` of `u` and `v`,
-    /// where `uw`/`vw` are the edge ids of `u -- w` / `v -- w`. Sorted-merge
-    /// intersection, so triangles are visited in ascending `w` order.
-    pub(crate) fn common_neighbors(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        mut f: impl FnMut(NodeId, EdgeId, EdgeId),
-    ) {
-        let (ru, rv) = (self.neighbors(u), self.neighbors(v));
-        let (mut i, mut j) = (0, 0);
-        while i < ru.len() && j < rv.len() {
-            let (a, ea) = ru[i];
-            let (b, eb) = rv[j];
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if a != u && a != v {
-                        f(a, ea, eb);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
     }
 }
 
@@ -723,6 +601,34 @@ mod tests {
     }
 
     #[test]
+    fn removal_ids_are_the_edges_apply_batch_drops() {
+        // the 4-cycle 0-1-2-3 plus the chord 0-2
+        let g = GraphBuilder::new()
+            .nodes(&[0; 4])
+            .edge(0, 1, 0)
+            .edge(1, 2, 0)
+            .edge(2, 3, 0)
+            .edge(3, 0, 0)
+            .edge(0, 2, 0)
+            .build();
+        let batch = EdgeBatch {
+            node_additions: vec![1],
+            edge_additions: vec![(4, 0, 2), (2, 0, 3)],
+            // both orientations of one pair, an absent pair, a node out
+            // of range before the append
+            edge_removals: vec![(2, 0), (0, 2), (3, 2), (1, 3), (4, 0)],
+        };
+        let dead = g.removal_ids(&batch);
+        assert_eq!(dead, vec![EdgeId(2), EdgeId(4)]);
+        let mut split = g.clone();
+        let edit = split.apply_batch_removing(&batch, dead.clone());
+        assert_eq!(edit.removed_ids, dead);
+        let mut whole = g.clone();
+        assert_eq!(whole.apply_batch(&batch), edit);
+        assert_eq!(whole, split);
+    }
+
+    #[test]
     fn label_multisets_are_sorted() {
         let g = GraphBuilder::new()
             .nodes(&[9, 1, 5])
@@ -731,79 +637,5 @@ mod tests {
             .build();
         assert_eq!(g.node_label_multiset(), vec![1, 5, 9]);
         assert_eq!(g.edge_label_multiset(), vec![1, 3]);
-    }
-
-    #[test]
-    fn sorted_adjacency_agrees_with_linear_lookups() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut g = Graph::new();
-        let n = 40;
-        for _ in 0..n {
-            g.add_node(rng.gen_range(0..3));
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if rng.gen_bool(0.15) {
-                    g.add_edge(NodeId(i), NodeId(j), rng.gen_range(0..2));
-                }
-            }
-        }
-        let sorted = g.sorted_adjacency();
-        for u in g.nodes() {
-            let mut row: Vec<(NodeId, EdgeId)> = g.neighbors(u).collect();
-            row.sort_unstable_by_key(|&(v, _)| v);
-            assert_eq!(sorted.neighbors(u), row.as_slice());
-            for v in g.nodes() {
-                assert_eq!(sorted.edge_between(u, v), g.edge_between(u, v));
-                assert_eq!(sorted.has_edge(u, v), g.has_edge(u, v));
-            }
-        }
-    }
-
-    fn diamond() -> Graph {
-        // the 4-cycle 0-1-2-3 plus the chord 0-2
-        GraphBuilder::new()
-            .nodes(&[0, 0, 0, 0])
-            .edge(0, 1, 0)
-            .edge(1, 2, 0)
-            .edge(2, 3, 0)
-            .edge(3, 0, 0)
-            .edge(0, 2, 0)
-            .build()
-    }
-
-    #[test]
-    fn insert_and_remove_keep_rows_sorted() {
-        let mut adj = diamond().sorted_adjacency();
-        assert!(adj.has_edge(NodeId(0), NodeId(2)));
-        assert!(
-            !adj.insert_sorted(NodeId(0), NodeId(2), EdgeId(9)),
-            "duplicate"
-        );
-        assert!(
-            !adj.insert_sorted(NodeId(1), NodeId(1), EdgeId(9)),
-            "self-loop"
-        );
-        assert!(adj.insert_sorted(NodeId(1), NodeId(3), EdgeId(5)));
-        for v in 0..4 {
-            let row = adj.neighbors(NodeId(v));
-            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row {v} sorted");
-        }
-        assert_eq!(adj.remove_sorted(NodeId(3), NodeId(1)), Some(EdgeId(5)));
-        assert_eq!(adj.remove_sorted(NodeId(3), NodeId(1)), None);
-        assert!(!adj.has_edge(NodeId(1), NodeId(3)));
-    }
-
-    #[test]
-    fn common_neighbors_enumerates_triangles() {
-        let adj = diamond().sorted_adjacency();
-        let mut seen = Vec::new();
-        adj.common_neighbors(NodeId(0), NodeId(2), |w, _, _| seen.push(w.0));
-        assert_eq!(seen, vec![1, 3]);
-        let mut none = Vec::new();
-        adj.common_neighbors(NodeId(1), NodeId(3), |w, _, _| none.push(w.0));
-        assert_eq!(none, vec![0, 2]);
     }
 }

@@ -30,10 +30,15 @@
 //! time), which gives two per-class tables: the graphlets that contain
 //! both nodes with the edge, and without it. The full census sums the
 //! with-edge table over all edges and divides each class by its edge
-//! count (a graphlet with `e` edges is seen once per edge);
-//! [`CensusMaintainer`] adds `with − without` per inserted edge and
-//! subtracts it per deleted one. The approach is that of PGD (Ahmed et
-//! al., ICDM 2015) and ORCA (Hočevar & Demšar, 2014).
+//! count (a graphlet with `e` edges is seen once per edge); a churn
+//! batch moves the counts by `with − without` per inserted edge and
+//! `without − with` per deleted one ([`GraphletCounts::before_edit`]
+//! and [`GraphletCounts::after_edit`], the two phases of
+//! [`crate::delta`]; [`CensusMaintainer`] is their standalone owner).
+//! The kernel reads the graph's own rows, in whatever order they are,
+//! through an edge-id predicate, so no census copies its input. The
+//! approach is that of PGD (Ahmed et al., ICDM 2015) and ORCA (Hočevar
+//! & Demšar, 2014).
 //!
 //! ESU (Wernicke's FANMOD) stays as the reference oracle the kernel is
 //! tested against ([`count_graphlets`], [`enumerate_connected_subgraphs`]).
@@ -45,9 +50,10 @@
 //! any backend, and whether computed from scratch or maintained
 //! incrementally.
 
-use crate::graph::{EdgeId, Graph, NodeId, SortedAdjacency};
+use crate::delta::{EdgeDelta, GraphEdit};
+use crate::graph::{EdgeId, Graph, NodeId};
 use crate::par;
-use crate::storage::{GraphStorage, NeighborView, SortedCsr};
+use crate::storage::GraphStorage;
 use vqi_runtime::{Budget, VqiError};
 
 /// Number of tracked graphlet classes.
@@ -329,28 +335,31 @@ impl PairCells {
 
 /// The edge-local kernel: adds to `cells` the tallies of the 3- and
 /// 4-node sets that contain both `u` and `v` and are connected with the
-/// edge `u–v` or without it, and returns how many row entries it
-/// scanned. The result does not depend on whether `u–v` is an edge of
-/// `view`. `marks` (one byte per node) must be all zero on entry and is
-/// restored before returning.
-fn pair_cells<V: NeighborView + ?Sized>(
-    view: &V,
-    u: NodeId,
-    v: NodeId,
+/// edge `u–v` or without it, over the edges of `g` that pass `live`,
+/// and returns how many row entries it scanned. The result does not
+/// depend on whether `u–v` is an edge. `marks` (one byte per node) must
+/// be all zero on entry and is restored before returning.
+fn pair_cells<S: GraphStorage + ?Sized>(
+    g: &S,
+    (u, v): (NodeId, NodeId),
+    live: impl Fn(EdgeId) -> bool,
     marks: &mut [u8],
     cells: &mut PairCells,
 ) -> u64 {
-    let (ru, rv) = (view.neighbors(u), view.neighbors(v));
+    let (ru, rv) = (g.neighbor_slice(u), g.neighbor_slice(v));
     marks[u.index()] = END;
     marks[v.index()] = END;
-    for &(w, _) in ru {
+    for &(w, e) in ru {
         let m = &mut marks[w.index()];
-        if *m == O as u8 {
+        if *m == O as u8 && live(e) {
             *m = A as u8;
         }
     }
-    for &(w, _) in rv {
+    for &(w, e) in rv {
         let m = &mut marks[w.index()];
+        if !live(e) {
+            continue;
+        }
         if *m == A as u8 {
             *m = T as u8;
         } else if *m == O as u8 {
@@ -365,11 +374,13 @@ fn pair_cells<V: NeighborView + ?Sized>(
     {
         let marks: &[u8] = marks;
         let mut scan = |w: NodeId, s: usize| {
-            let row = view.neighbors(w);
+            let row = g.neighbor_slice(w);
             n[s] += 1;
             scanned += row.len() as u64;
-            for &(x, _) in row {
-                tally[s * 5 + marks[x.index()] as usize] += 1;
+            for &(x, e) in row {
+                if live(e) {
+                    tally[s * 5 + marks[x.index()] as usize] += 1;
+                }
             }
         };
         // every marked node once: T and A nodes from u's row, B from v's
@@ -408,27 +419,28 @@ fn pair_cells<V: NeighborView + ?Sized>(
     scanned
 }
 
-/// Exact per-class counts of the graph behind `view` (an id-sorted
-/// neighbour view of `n` nodes): every node runs [`pair_cells`] against
-/// its higher-id neighbours, the workers' `u64` cell sums are added,
-/// and each class is divided by its edge count. `ctrl` arms one fresh
-/// [`Meter`](vqi_runtime::Meter) per node, ticked once per scanned row
-/// entry, so a quota trips at the same node at any thread count; the
-/// first failing node in id order reports.
-fn exact_census<V: NeighborView + ?Sized>(
-    view: &V,
-    n: usize,
+/// Exact per-class counts of `g`, read off its own rows: every node
+/// runs [`pair_cells`] against its higher-id neighbours, the workers'
+/// `u64` cell sums are added, and each class is divided by its edge
+/// count. `ctrl` arms one fresh [`Meter`](vqi_runtime::Meter) per node,
+/// ticked once per scanned row entry, so a quota trips at the same node
+/// at any thread count; the first failing node in id order reports.
+fn exact_census<S: GraphStorage + ?Sized>(
+    g: &S,
     ctrl: Option<&Budget>,
 ) -> Result<GraphletCounts, VqiError> {
+    let n = g.node_count();
     let parts = par::map_chunks(n, |nodes| -> Result<PairCells, VqiError> {
         let mut marks = vec![0u8; n];
         let mut cells = PairCells::default();
         for i in nodes {
             let u = NodeId(i as u32);
             let mut meter = ctrl.map(|c| c.meter("kernel.graphlet"));
-            let row = view.neighbors(u);
-            for &(v, _) in &row[row.partition_point(|&(x, _)| x <= u)..] {
-                let scanned = pair_cells(view, u, v, &mut marks, &mut cells);
+            for &(v, _) in g.neighbor_slice(u) {
+                if v <= u {
+                    continue;
+                }
+                let scanned = pair_cells(g, (u, v), |_| true, &mut marks, &mut cells);
                 if let Some(m) = meter.as_mut() {
                     for _ in 0..scanned {
                         m.tick()?;
@@ -464,8 +476,7 @@ pub fn count_graphlets(g: &Graph) -> GraphletCounts {
 }
 
 /// Exact graphlet counts of `g` on any [`GraphStorage`] backend, by
-/// edge-local counting over one packed [`SortedCsr`] view, fanned out
-/// over nodes. The sums are integers, so the result equals
+/// edge-local counting over `g`'s own rows, fanned out over nodes. The sums are integers, so the result equals
 /// [`count_graphlets`] bit for bit on any backend, at any thread count.
 pub fn count_graphlets_par<S: GraphStorage + ?Sized>(g: &S) -> GraphletCounts {
     census(g, None).expect("an unmetered census cannot fail")
@@ -486,8 +497,7 @@ pub fn count_graphlets_ctrl<S: GraphStorage + ?Sized>(
     census(g, Some(ctrl))
 }
 
-/// Shared body of the census entry points: [`exact_census`] over a
-/// [`SortedCsr`] view of `g`.
+/// Shared body of the census entry points.
 fn census<S: GraphStorage + ?Sized>(
     g: &S,
     ctrl: Option<&Budget>,
@@ -498,7 +508,7 @@ fn census<S: GraphStorage + ?Sized>(
     }
     let _s = vqi_observe::span("kernel.graphlet.count");
     vqi_observe::incr("kernel.graphlet.count.roots", n as u64);
-    exact_census(&SortedCsr::from_storage(g), n, ctrl)
+    exact_census(g, ctrl)
 }
 
 // ---------------------------------------------------------------------------
@@ -519,47 +529,102 @@ pub struct CensusDeltaStats {
     pub recounted_roots: usize,
 }
 
-/// Incremental exact graphlet census: keeps the per-class counts of
-/// [`count_graphlets_par`] alive across edge-churn batches.
-///
 /// **Edge-local deltas.** A graphlet gained or lost by toggling the edge
 /// `u -- v` contains both `u` and `v`, and [`pair_cells`] counts exactly
 /// those node sets, classified once with the edge and once without. An
 /// insert therefore moves the totals by `with − without` and a delete by
-/// `without − with`, each computed against the adjacency at that point
-/// of the batch (deletes before removal, inserts after insertion), so
-/// one mutation costs the rows of `N(u) ∪ N(v)` and never a recount.
-///
-/// **Determinism.** The totals are `u64` counts moved by exact integer
-/// arithmetic, so they equal a from-scratch [`count_graphlets_par`] bit
-/// for bit after every batch, at any thread count (property-tested
-/// across insert/delete/mixed batches).
+/// `without − with`, each computed against the graph at that point of
+/// the batch, so one mutation costs the rows of `N(u) ∪ N(v)` and never
+/// a recount. The counts are `u64`s moved by exact integer arithmetic,
+/// so they equal a from-scratch [`count_graphlets_par`] bit for bit
+/// after every batch, at any thread count (property-tested across
+/// insert/delete/mixed batches).
+impl GraphletCounts {
+    /// The first phase of a batch, on `g` (whose exact counts these
+    /// are) before the edit: each edge of `dead` (ascending, as
+    /// [`Graph::removal_ids`] returns them) leaves the counts in turn,
+    /// with the removals before it gone. Returns the rows scanned.
+    pub fn before_edit(&mut self, g: &Graph, dead: &[EdgeId]) -> usize {
+        let _s = vqi_observe::span("kernel.census.delta");
+        let gone = crate::delta::removed_mask(g.edge_count(), dead);
+        let mut marks = vec![0u8; g.node_count()];
+        let rows = dead
+            .iter()
+            .map(|&d| self.toggle(g, d, |f| f > d || !gone[f.index()], &mut marks, false))
+            .sum();
+        vqi_observe::incr("kernel.census.delta.deletes", dead.len() as u64);
+        vqi_observe::incr("kernel.census.delta.roots", rows as u64);
+        rows
+    }
+
+    /// The second phase, on `g` after `edit`: each added edge (the last
+    /// ids, in order) joins the counts with only the edges of smaller
+    /// id present. Returns the rows scanned.
+    pub fn after_edit(&mut self, g: &Graph, edit: &GraphEdit) -> usize {
+        let _s = vqi_observe::span("kernel.census.delta");
+        let m = g.edge_count();
+        let mut marks = vec![0u8; g.node_count()];
+        let rows = (m - edit.delta.inserts.len()..m)
+            .map(|i| EdgeId(i as u32))
+            .map(|e| self.toggle(g, e, |f| f <= e, &mut marks, true))
+            .sum();
+        vqi_observe::incr("kernel.census.delta.batches", 1);
+        vqi_observe::incr(
+            "kernel.census.delta.inserts",
+            edit.delta.inserts.len() as u64,
+        );
+        vqi_observe::incr("kernel.census.delta.roots", rows as u64);
+        rows
+    }
+
+    /// Moves the counts across a toggle of edge `e`, over the edges that
+    /// pass `live`: the graphlets containing both endpoints leave their
+    /// class on the old side of the toggle and join their class on the
+    /// new side. Returns the rows scanned.
+    fn toggle(
+        &mut self,
+        g: &Graph,
+        e: EdgeId,
+        live: impl Fn(EdgeId) -> bool,
+        marks: &mut [u8],
+        inserted: bool,
+    ) -> usize {
+        let mut cells = PairCells::default();
+        pair_cells(g, g.endpoints(e), live, marks, &mut cells);
+        let gone = cells.classes(!inserted);
+        let born = cells.classes(inserted);
+        for c in 0..GRAPHLET_CLASSES {
+            // every graphlet in `gone` is in the current counts, so the
+            // subtraction cannot underflow
+            self.counts[c] = self.counts[c] - gone[c] + born[c];
+        }
+        cells.rows() as usize
+    }
+}
+
+/// A standalone incremental graphlet census: a graph of its own and its
+/// exact [`GraphletCounts`], moved per delta through the same two phases
+/// the network maintainer runs around its network's edit.
 #[derive(Debug, Clone)]
 pub struct CensusMaintainer {
-    adj: SortedAdjacency,
-    /// The kernel's mark buffer, one byte per node, all zero between
-    /// mutations.
-    marks: Vec<u8>,
-    /// Exact per-class counts of the current graph.
+    graph: Graph,
+    /// Exact per-class counts of `graph`.
     total: GraphletCounts,
 }
 
 impl CensusMaintainer {
-    /// Seeds the maintainer from `g` with a full parallel census.
+    /// Seeds the maintainer from a copy of `g` with a full parallel
+    /// census.
     pub fn new(g: &Graph) -> Self {
-        let adj = g.sorted_adjacency();
-        let n = adj.node_count();
-        let total = exact_census(&adj, n, None).expect("an unmetered census cannot fail");
         Self {
-            adj,
-            marks: vec![0; n],
-            total,
+            graph: g.clone(),
+            total: exact_census(g, None).expect("an unmetered census cannot fail"),
         }
     }
 
     /// Nodes in the maintained universe.
     pub fn node_count(&self) -> usize {
-        self.adj.node_count()
+        self.graph.node_count()
     }
 
     /// The maintained total counts (equal to [`count_graphlets_par`] of
@@ -576,63 +641,27 @@ impl CensusMaintainer {
     /// Grows the node universe to at least `n` nodes (new nodes are in
     /// no graphlet until edges arrive).
     pub fn grow_nodes(&mut self, n: usize) {
-        self.adj.grow_rows(n);
-        if n > self.marks.len() {
-            self.marks.resize(n, 0);
+        while self.graph.node_count() < n {
+            self.graph.add_node(0);
         }
-    }
-
-    /// Moves the exact counts across a toggle of the edge `u -- v`: the
-    /// graphlets containing both nodes leave their class on the old side
-    /// of the toggle and join their class on the new side. Returns the
-    /// rows scanned.
-    fn toggle(&mut self, u: NodeId, v: NodeId, inserted: bool) -> usize {
-        let mut cells = PairCells::default();
-        pair_cells(&self.adj, u, v, &mut self.marks, &mut cells);
-        let gone = cells.classes(!inserted);
-        let born = cells.classes(inserted);
-        for c in 0..GRAPHLET_CLASSES {
-            // every graphlet in `gone` is in the current counts, so the
-            // subtraction cannot underflow
-            self.total.counts[c] = self.total.counts[c] - gone[c] + born[c];
-        }
-        cells.rows() as usize
     }
 
     /// Applies one edge-churn batch (deletes first, then inserts) and
     /// moves the exact totals by each applied mutation's edge-local
     /// delta.
-    pub fn apply(&mut self, delta: &crate::delta::EdgeDelta) -> CensusDeltaStats {
-        let _s = vqi_observe::span("kernel.census.delta");
-        vqi_observe::incr("kernel.census.delta.batches", 1);
-        if let Some(mx) = delta.max_node() {
-            self.grow_nodes(mx as usize + 1);
+    pub fn apply(&mut self, delta: &EdgeDelta) -> CensusDeltaStats {
+        let batch = delta.to_batch(self.graph.node_count());
+        let dead = self.graph.removal_ids(&batch);
+        let removed = self.total.before_edit(&self.graph, &dead);
+        let edit = self.graph.apply_batch_removing(&batch, dead);
+        let added = self.total.after_edit(&self.graph, &edit);
+        let (inserts, deletes) = (edit.delta.inserts.len(), edit.delta.deletes.len());
+        CensusDeltaStats {
+            inserts,
+            deletes,
+            skipped: delta.len() - inserts - deletes,
+            recounted_roots: removed + added,
         }
-        let mut stats = CensusDeltaStats::default();
-        for &(a, b) in &delta.deletes {
-            let (u, v) = (NodeId(a), NodeId(b));
-            if a == b || !self.adj.has_edge(u, v) {
-                stats.skipped += 1;
-                continue;
-            }
-            stats.recounted_roots += self.toggle(u, v, false);
-            self.adj.remove_sorted(u, v);
-            stats.deletes += 1;
-        }
-        for &(a, b) in &delta.inserts {
-            let (u, v) = (NodeId(a), NodeId(b));
-            if a == b || self.adj.has_edge(u, v) {
-                stats.skipped += 1;
-                continue;
-            }
-            self.adj.insert_sorted(u, v, EdgeId(0));
-            stats.recounted_roots += self.toggle(u, v, true);
-            stats.inserts += 1;
-        }
-        vqi_observe::incr("kernel.census.delta.inserts", stats.inserts as u64);
-        vqi_observe::incr("kernel.census.delta.deletes", stats.deletes as u64);
-        vqi_observe::incr("kernel.census.delta.roots", stats.recounted_roots as u64);
-        stats
     }
 }
 
@@ -1112,6 +1141,46 @@ mod tests {
                         &edges,
                         &format!("seed {seed} cap {cap} round {round}"),
                     );
+                }
+            }
+        }
+        par::set_thread_cap(prev);
+    }
+
+    #[test]
+    fn census_edge_case_batches_match_fresh_count() {
+        use crate::delta::{absorb, edge_case_delta, EDGE_CASES};
+        use crate::generate::erdos_renyi;
+        use rand::Rng;
+        use std::collections::BTreeSet;
+        let _guard = crate::kernel_test_lock();
+        let prev = par::thread_cap();
+        for cap in [1usize, 4] {
+            par::set_thread_cap(cap);
+            for seed in 0..12u64 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut g = erdos_renyi(24, 0.2, 0, &mut rng);
+                // a hub joined to a third of the nodes
+                for v in 1..24 {
+                    if rng.gen_bool(0.35) {
+                        g.add_edge(NodeId(0), NodeId(v), 0);
+                    }
+                }
+                let key = |(u, v): (NodeId, NodeId)| (u.0.min(v.0), u.0.max(v.0));
+                let mut set: BTreeSet<(u32, u32)> =
+                    g.edges().map(|e| key(g.endpoints(e))).collect();
+                let mut m = CensusMaintainer::new(&g);
+                for round in 0..EDGE_CASES {
+                    let delta = edge_case_delta(&m.graph, round);
+                    absorb(&mut set, &delta);
+                    let stats = m.apply(&delta);
+                    assert!(
+                        stats.inserts + stats.deletes > 0,
+                        "round {round} is a no-op"
+                    );
+                    let edges: Vec<(u32, u32)> = set.iter().copied().collect();
+                    let ctx = format!("seed {seed} cap {cap} edge case {round}");
+                    assert_census_matches(&m, &edges, &ctx);
                 }
             }
         }

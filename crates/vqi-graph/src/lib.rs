@@ -15,8 +15,10 @@
 //! * [`truss`] — k-truss decomposition and the truss-infested /
 //!   truss-oblivious split used by TATTOO;
 //! * [`delta`] — edge-churn batches: labelled [`delta::EdgeBatch`]es a
-//!   graph applies in place, and the [`delta::EdgeDelta`]s consumed by
-//!   the incremental maintainers in [`truss`] and [`graphlet`];
+//!   graph applies in place, the two phases in which the incremental
+//!   kernels of [`truss`] and [`graphlet`] follow that edit on the
+//!   graph's own rows, and the [`delta::EdgeDelta`]s of their
+//!   standalone maintainers;
 //! * [`graphlet`] — the exact connected-graphlet census (edge-local
 //!   counting, with ESU as the test oracle), its incremental maintainer,
 //!   and the graphlet frequency distributions used by MIDAS;

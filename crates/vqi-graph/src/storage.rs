@@ -21,9 +21,9 @@
 //! **Bit-identity contract.** A `CsrGraph` built from a `Graph` (or
 //! from the same deterministic edge stream) preserves the *insertion
 //! order* of every adjacency row. Every ported kernel walks neighbor
-//! slices in row order, so truss peel, graphlet census, and sharded
-//! TATTOO selection produce bit-identical output on either backend, at
-//! any thread cap — the PR 4 contract extended across storage layers.
+//! slices in row order, in place, so truss peel, graphlet census, and
+//! sharded TATTOO selection produce bit-identical output on either
+//! backend, at any thread cap, without a second copy of the topology.
 //!
 //! **On-disk images.** [`CsrGraph::save_image`]/[`CsrGraph::load_image`]
 //! serialize the packed arrays as a little-endian image with a
@@ -34,7 +34,7 @@
 //! against the heap `Graph`'s tens of GB, which is what makes the
 //! `exp_scale` ceiling fit this machine.
 
-use crate::graph::{EdgeData, EdgeId, Graph, Label, NodeId, SortedAdjacency};
+use crate::graph::{EdgeData, EdgeId, Graph, Label, NodeId};
 use rand::splitmix64;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -629,91 +629,6 @@ impl GraphStorage for CsrGraph {
     }
 }
 
-/// A neighbor view with **id-sorted** rows — what the graphlet census
-/// binary-searches for edge existence. [`SortedAdjacency`] (per-row
-/// `Vec`s, from a heap [`Graph`]) and [`SortedCsr`] (one packed array,
-/// from any [`GraphStorage`]) both implement it; the census is generic
-/// over which.
-pub trait NeighborView: Sync {
-    /// The neighbors of `v` as `(neighbor, edge id)` pairs sorted by
-    /// neighbor id.
-    fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)];
-
-    /// The edge between `u` and `v`, if any, by binary search over the
-    /// smaller row.
-    #[inline]
-    fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let (a, b) = if self.neighbors(u).len() <= self.neighbors(v).len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        let row = self.neighbors(a);
-        row.binary_search_by_key(&b, |&(q, _)| q)
-            .ok()
-            .map(|i| row[i].1)
-    }
-
-    /// True if an edge `u -- v` exists.
-    #[inline]
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_between(u, v).is_some()
-    }
-}
-
-impl NeighborView for SortedAdjacency {
-    #[inline]
-    fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        SortedAdjacency::neighbors(self, v)
-    }
-    #[inline]
-    fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        SortedAdjacency::edge_between(self, u, v)
-    }
-    #[inline]
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        SortedAdjacency::has_edge(self, u, v)
-    }
-}
-
-/// The packed equivalent of [`SortedAdjacency`]: one CSR array with
-/// every row sorted by neighbor id, buildable from any
-/// [`GraphStorage`] without per-node allocations.
-#[derive(Debug, Clone)]
-pub struct SortedCsr {
-    offsets: Vec<u32>,
-    nbr: Vec<(NodeId, EdgeId)>,
-}
-
-impl SortedCsr {
-    /// Freezes a sorted CSR view of `g`.
-    pub fn from_storage<S: GraphStorage + ?Sized>(g: &S) -> SortedCsr {
-        let n = g.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut nbr = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0u32);
-        for v in 0..n {
-            nbr.extend_from_slice(g.neighbor_slice(NodeId(v as u32)));
-            offsets.push(nbr.len() as u32);
-        }
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            nbr[lo..hi].sort_unstable_by_key(|&(u, _)| u);
-        }
-        SortedCsr { offsets, nbr }
-    }
-}
-
-impl NeighborView for SortedCsr {
-    #[inline]
-    fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        let lo = self.offsets[v.index()] as usize;
-        let hi = self.offsets[v.index() + 1] as usize;
-        &self.nbr[lo..hi]
-    }
-}
-
 /// The subgraph of `g` induced by `nodes`, behind
 /// [`Graph::induced_subgraph`]: nodes renumbered densely in the order
 /// given (duplicates ignored after the first), edges added in mapping
@@ -924,22 +839,6 @@ mod tests {
         assert_eq!(heap.edge_count(), spec.edge_count());
         let streamed = CsrGraph::from_synthetic(&spec);
         assert_eq!(streamed, CsrGraph::from_graph(&heap));
-    }
-
-    #[test]
-    fn storage_sorted_csr_agrees_with_sorted_adjacency() {
-        for seed in 0..4u64 {
-            let g = labeled_random(seed);
-            let c = CsrGraph::from_graph(&g);
-            let sa = g.sorted_adjacency();
-            let sc = SortedCsr::from_storage(&c);
-            for v in g.nodes() {
-                assert_eq!(NeighborView::neighbors(&sa, v), sc.neighbors(v));
-                for u in g.nodes() {
-                    assert_eq!(NeighborView::edge_between(&sa, u, v), sc.edge_between(u, v));
-                }
-            }
-        }
     }
 
     #[test]

@@ -36,8 +36,16 @@
 //! present adjacency rows in identical (insertion) order, and the
 //! kernels only ever walk rows in that order — so outputs are
 //! bit-identical across backends, at any thread cap.
+//!
+//! **Incremental maintenance.** [`TrussState`] keeps each edge's
+//! support and trussness by the followed graph's own edge ids and
+//! reads that graph's rows, so it holds no adjacency of its own; a
+//! churn batch moves it in the two phases of [`crate::delta`] and
+//! repeels only the affected region. [`TrussMaintainer`] is its
+//! standalone owner, with a graph of its own.
 
-use crate::graph::{EdgeId, Graph, NodeId, SortedAdjacency};
+use crate::delta::GraphEdit;
+use crate::graph::{EdgeId, Graph, NodeId};
 use crate::par;
 use crate::storage::GraphStorage;
 use vqi_runtime::{Budget, Meter, VqiError};
@@ -418,9 +426,52 @@ pub struct TrussDeltaStats {
     pub changed: usize,
 }
 
-/// Incremental k-truss maintenance: owns supports and trussness across
-/// edge insert/delete batches and repeels only the *affected region*
-/// instead of the whole graph.
+/// Calls `f(uw, vw)` for every common neighbour `w` of `u` and `v`
+/// whose edges `uw` and `vw` both pass `live`, by the mark-array
+/// intersection of [`supports_of_roots`], in O(deg u + deg v). `mark`
+/// holds one `u32::MAX` per node and is restored before returning.
+fn triangles_on(
+    g: &Graph,
+    (u, v): (NodeId, NodeId),
+    mark: &mut [u32],
+    live: impl Fn(EdgeId) -> bool,
+    mut f: impl FnMut(EdgeId, EdgeId),
+) {
+    for &(w, uw) in g.neighbor_slice(u) {
+        if w != v && live(uw) {
+            mark[w.index()] = uw.0;
+        }
+    }
+    for &(w, vw) in g.neighbor_slice(v) {
+        let uw = mark[w.index()];
+        if uw != u32::MAX && live(vw) {
+            f(EdgeId(uw), vw);
+        }
+    }
+    for &(w, _) in g.neighbor_slice(u) {
+        mark[w.index()] = u32::MAX;
+    }
+}
+
+/// Drops the entries at the ascending ids `dead`, keeping the rest in
+/// order: the renumbering of [`Graph::remove_edges`].
+fn compact(values: &mut Vec<u32>, dead: &[EdgeId]) {
+    let (mut kept, mut from) = (0, 0);
+    // the runs between the removed ids move down in one copy each
+    for end in dead.iter().map(|d| d.index()).chain([values.len()]) {
+        if kept != from {
+            values.copy_within(from..end, kept);
+        }
+        kept += end - from;
+        from = end + 1;
+    }
+    values.truncate(kept);
+}
+
+/// Incremental k-truss state of a graph: each edge's support and
+/// trussness, indexed by the graph's own edge ids and read against its
+/// own rows. A batch moves it in two phases around the graph's edit
+/// (see [`crate::delta`]), and only the *affected region* is repeeled.
 ///
 /// **Affected region.** Deletes and inserts first touch the edges whose
 /// support changed (the triangle partners of every mutated edge) — the
@@ -444,183 +495,104 @@ pub struct TrussDeltaStats {
 /// committed result equals a from-scratch peel exactly (property-tested
 /// against [`trussness`] across insert/delete/mixed batches).
 #[derive(Debug, Clone)]
-pub struct TrussMaintainer {
-    adj: SortedAdjacency,
-    /// Endpoints per edge slot (slots are recycled through `free`).
-    endpoints: Vec<(NodeId, NodeId)>,
-    alive: Vec<bool>,
-    free: Vec<u32>,
+pub struct TrussState {
     support: Vec<u32>,
     truss: Vec<u32>,
-    live_edges: usize,
 }
 
-impl TrussMaintainer {
-    /// Seeds the maintainer from `g` with a full (parallel) support count
+impl TrussState {
+    /// Seeds the state from `g` with a full (parallel) support count
     /// and peel.
     pub fn new(g: &Graph) -> Self {
-        let m = g.edge_count();
         Self {
-            adj: g.sorted_adjacency(),
-            endpoints: g.edges().map(|e| g.endpoints(e)).collect(),
-            alive: vec![true; m],
-            free: Vec::new(),
             support: edge_supports(g),
             truss: trussness(g),
-            live_edges: m,
         }
     }
 
-    /// Nodes in the maintained universe.
-    pub fn node_count(&self) -> usize {
-        self.adj.node_count()
+    /// The trussness of every edge of the followed graph, by edge id.
+    pub fn trussness(&self) -> &[u32] {
+        &self.truss
     }
 
-    /// Live (non-deleted) edges.
-    pub fn edge_count(&self) -> usize {
-        self.live_edges
-    }
-
-    /// Grows the node universe to at least `n` nodes.
-    pub fn grow_nodes(&mut self, n: usize) {
-        self.adj.grow_rows(n);
-    }
-
-    /// The maintained trussness of edge `u -- v`, if present.
-    pub fn trussness_of(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        if u.index() >= self.node_count() || v.index() >= self.node_count() {
-            return None;
+    /// The first phase of a batch, on `g` before the edit: each edge of
+    /// `dead` (ascending, as [`Graph::removal_ids`] returns them) leaves
+    /// the triangles still standing once the removals before it are
+    /// gone, and the state is compacted past `dead`. Returns the
+    /// surviving triangle partners by their ids after the removal: the
+    /// seeds [`TrussState::after_edit`] starts from.
+    pub fn before_edit(&mut self, g: &Graph, dead: &[EdgeId]) -> Vec<EdgeId> {
+        let _s = vqi_observe::span("kernel.truss.delta");
+        vqi_observe::incr("kernel.truss.delta.deletes", dead.len() as u64);
+        let gone = crate::delta::removed_mask(g.edge_count(), dead);
+        let mut mark = vec![u32::MAX; g.node_count()];
+        let mut partners = Vec::new();
+        for &d in dead {
+            let live = |f: EdgeId| f > d || !gone[f.index()];
+            triangles_on(g, g.endpoints(d), &mut mark, live, |uw, vw| {
+                for f in [uw, vw] {
+                    self.support[f.index()] -= 1;
+                    partners.push(f);
+                }
+            });
         }
-        self.adj.edge_between(u, v).map(|e| self.truss[e.index()])
-    }
-
-    /// The maintained support (triangle count) of edge `u -- v`.
-    pub fn support_of(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        if u.index() >= self.node_count() || v.index() >= self.node_count() {
-            return None;
-        }
-        self.adj.edge_between(u, v).map(|e| self.support[e.index()])
-    }
-
-    /// Maintained trussness re-indexed by `g`'s edge ids (matched on
-    /// endpoints). Returns `None` if some edge of `g` is unknown to the
-    /// maintainer — the caller's graph has drifted out of sync.
-    pub fn trussness_for(&self, g: &Graph) -> Option<Vec<u32>> {
-        if g.node_count() > self.node_count() {
-            return None;
-        }
-        g.edges()
-            .map(|e| {
-                let (u, v) = g.endpoints(e);
-                self.trussness_of(u, v)
-            })
+        compact(&mut self.support, dead);
+        compact(&mut self.truss, dead);
+        partners.sort_unstable();
+        partners.dedup();
+        partners
+            .into_iter()
+            .filter(|f| !gone[f.index()])
+            .map(|f| EdgeId(f.0 - dead.partition_point(|&d| d < f) as u32))
             .collect()
     }
 
-    /// Live edges as `(u, v, trussness)` triples in slot order.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u32)> + '_ {
-        self.endpoints
-            .iter()
-            .zip(self.alive.iter())
-            .zip(self.truss.iter())
-            .filter(|((_, &alive), _)| alive)
-            .map(|((&(u, v), _), &t)| (u, v, t))
-    }
-
-    /// Applies one edge-churn batch (deletes first, then inserts) and
-    /// restores exact trussness by repeeling only the affected region.
-    pub fn apply(&mut self, delta: &crate::delta::EdgeDelta) -> TrussDeltaStats {
+    /// The second phase, on `g` after `edit`: each added edge (the last
+    /// ids, in order) joins the triangles it closes with the edges of
+    /// smaller id, and the region around the `seeds` of
+    /// [`TrussState::before_edit`] and the added edges is repeeled.
+    pub fn after_edit(
+        &mut self,
+        g: &Graph,
+        edit: &GraphEdit,
+        seeds: Vec<EdgeId>,
+    ) -> TrussDeltaStats {
         let _s = vqi_observe::span("kernel.truss.delta");
         vqi_observe::incr("kernel.truss.delta.batches", 1);
-        if let Some(mx) = delta.max_node() {
-            self.grow_nodes(mx as usize + 1);
-        }
-
-        let mut stats = TrussDeltaStats::default();
-        let mut seeded = vec![false; self.endpoints.len()];
-        let mut seeds: Vec<u32> = Vec::new();
-        fn seed(seeded: &mut [bool], seeds: &mut Vec<u32>, s: u32) {
-            if !seeded[s as usize] {
-                seeded[s as usize] = true;
-                seeds.push(s);
-            }
-        }
-
-        // deletes first: enumerate the dying triangles while the edge is
-        // still present, decrement partner supports, then drop the edge
-        for &(a, b) in &delta.deletes {
-            let (u, v) = (NodeId(a), NodeId(b));
-            if a == b || self.adj.edge_between(u, v).is_none() {
-                stats.skipped += 1;
-                continue;
-            }
-            let Self { adj, support, .. } = self;
-            adj.common_neighbors(u, v, |_w, uw, vw| {
-                for f in [uw, vw] {
-                    support[f.index()] -= 1;
-                    seed(&mut seeded, &mut seeds, f.0);
-                }
-            });
-            let slot = self.adj.remove_sorted(u, v).expect("checked present").0;
-            self.alive[slot as usize] = false;
-            self.support[slot as usize] = 0;
-            self.truss[slot as usize] = 0;
-            self.free.push(slot);
-            self.live_edges -= 1;
-            stats.deletes += 1;
-        }
-
-        // inserts: count the new edge's support against the current
-        // adjacency (the edge itself is added after), increment partners
-        for &(a, b) in &delta.inserts {
-            let (u, v) = (NodeId(a), NodeId(b));
-            if a == b || self.adj.has_edge(u, v) {
-                stats.skipped += 1;
-                continue;
-            }
-            let slot = match self.free.pop() {
-                Some(s) => s,
-                None => {
-                    let s = self.endpoints.len() as u32;
-                    self.endpoints.push((u, v));
-                    self.alive.push(false);
-                    self.support.push(0);
-                    self.truss.push(0);
-                    seeded.push(false);
-                    s
-                }
-            };
+        let m = g.edge_count();
+        let kept = m - edit.delta.inserts.len();
+        debug_assert_eq!(self.truss.len(), kept, "state out of step with the graph");
+        let mut stats = TrussDeltaStats {
+            inserts: m - kept,
+            deletes: edit.removed_ids.len(),
+            ..TrussDeltaStats::default()
+        };
+        vqi_observe::incr("kernel.truss.delta.inserts", stats.inserts as u64);
+        // trussness 0 marks "fresh insert, not yet peeled"
+        self.support.resize(m, 0);
+        self.truss.resize(m, 0);
+        let mut mark = vec![u32::MAX; g.node_count()];
+        let all = |_: EdgeId| true;
+        let mut region: Vec<u32> = seeds.into_iter().map(|e| e.0).collect();
+        for e in (kept..m).map(|i| EdgeId(i as u32)) {
             let mut sup = 0u32;
-            let Self { adj, support, .. } = self;
-            adj.common_neighbors(u, v, |_w, uw, vw| {
+            let earlier = |f: EdgeId| f < e;
+            triangles_on(g, g.endpoints(e), &mut mark, earlier, |uw, vw| {
                 sup += 1;
                 for f in [uw, vw] {
-                    support[f.index()] += 1;
-                    seed(&mut seeded, &mut seeds, f.0);
+                    self.support[f.index()] += 1;
+                    region.push(f.0);
                 }
             });
-            self.adj.insert_sorted(u, v, EdgeId(slot));
-            self.endpoints[slot as usize] = (u, v);
-            self.alive[slot as usize] = true;
-            self.support[slot as usize] = sup;
-            // trussness 0 marks "fresh insert, not yet peeled"
-            self.truss[slot as usize] = 0;
-            seed(&mut seeded, &mut seeds, slot);
-            self.live_edges += 1;
-            stats.inserts += 1;
+            self.support[e.index()] = sup;
+            region.push(e.0);
         }
-        vqi_observe::incr("kernel.truss.delta.inserts", stats.inserts as u64);
-        vqi_observe::incr("kernel.truss.delta.deletes", stats.deletes as u64);
-
-        // the affected region starts from the surviving seeds
-        let mut region: Vec<u32> = seeds
-            .into_iter()
-            .filter(|&s| self.alive[s as usize])
-            .collect();
+        region.sort_unstable();
+        region.dedup();
         if region.is_empty() {
             return stats;
         }
-        let mut in_region = vec![false; self.endpoints.len()];
+        let mut in_region = vec![false; m];
         for &s in &region {
             in_region[s as usize] = true;
         }
@@ -629,22 +601,20 @@ impl TrussMaintainer {
         // chains; pull in every edge that could co-rise (see type docs)
         let rises = stats.inserts as u32;
         if rises > 0 {
-            let ub = |m: &Self, x: u32| -> u32 {
-                let s2 = m.support[x as usize] + 2;
-                if m.truss[x as usize] == 0 {
+            let ub = |st: &Self, x: u32| -> u32 {
+                let s2 = st.support[x as usize] + 2;
+                if st.truss[x as usize] == 0 {
                     s2 // fresh insert: support bound only
                 } else {
-                    s2.min(m.truss[x as usize] + rises)
+                    s2.min(st.truss[x as usize] + rises)
                 }
             };
             let mut queue: Vec<(u32, u32)> = region.iter().map(|&x| (x, ub(self, x))).collect();
             while let Some((x, ubx)) = queue.pop() {
-                let (u, v) = self.endpoints[x as usize];
                 let mut pulled: Vec<u32> = Vec::new();
-                let Self { adj, truss, .. } = self;
-                adj.common_neighbors(u, v, |_w, uw, vw| {
-                    for (f, z) in [(uw, vw), (vw, uw)] {
-                        let (f, z) = (f.0, z.0);
+                let truss = &self.truss;
+                triangles_on(g, g.endpoints(EdgeId(x)), &mut mark, all, |uw, vw| {
+                    for (f, z) in [(uw.0, vw.0), (vw.0, uw.0)] {
                         if !in_region[f as usize]
                             && truss[f as usize] < ubx
                             && truss[z as usize] + rises > truss[f as usize]
@@ -664,14 +634,13 @@ impl TrussMaintainer {
         // repeel the region until the cascade frontier closes
         let final_vals = loop {
             stats.peel_rounds += 1;
-            let vals = self.local_peel(&region, &in_region);
+            let vals = self.local_peel(g, &region, &in_region, &mut mark);
             let mut frontier: Vec<u32> = Vec::new();
             for (i, &x) in region.iter().enumerate() {
                 if vals[i] == self.truss[x as usize] {
                     continue;
                 }
-                let (u, v) = self.endpoints[x as usize];
-                self.adj.common_neighbors(u, v, |_w, uw, vw| {
+                triangles_on(g, g.endpoints(EdgeId(x)), &mut mark, all, |uw, vw| {
                     for f in [uw.0, vw.0] {
                         if !in_region[f as usize] {
                             in_region[f as usize] = true;
@@ -702,24 +671,30 @@ impl TrussMaintainer {
     /// members frozen at their old trussness: a triangle holding exterior
     /// edges dies when the peel level reaches their minimum trussness.
     /// Returns the new trussness per region position.
-    fn local_peel(&self, region: &[u32], in_region: &[bool]) -> Vec<u32> {
+    fn local_peel(
+        &self,
+        g: &Graph,
+        region: &[u32],
+        in_region: &[bool],
+        mark: &mut [u32],
+    ) -> Vec<u32> {
         let r = region.len();
-        let mut pos = vec![u32::MAX; self.endpoints.len()];
+        let all = |_: EdgeId| true;
+        let mut pos = vec![u32::MAX; self.truss.len()];
         for (i, &x) in region.iter().enumerate() {
             pos[x as usize] = i as u32;
         }
 
         // enumerate each triangle touching the region exactly once,
-        // anchored at its minimum interior edge slot
+        // anchored at its minimum interior edge id
         let mut tri_members: Vec<[u32; 3]> = Vec::new(); // positions, u32::MAX pad
         let mut tri_dead: Vec<bool> = Vec::new();
         let mut events: Vec<(u32, u32)> = Vec::new(); // (death level, tri)
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); r];
         for (i, &x) in region.iter().enumerate() {
-            let (u, v) = self.endpoints[x as usize];
-            self.adj.common_neighbors(u, v, |_w, uw, vw| {
+            triangles_on(g, g.endpoints(EdgeId(x)), mark, all, |uw, vw| {
                 let (a, b) = (uw.0, vw.0);
-                // anchored elsewhere if a smaller interior slot exists
+                // anchored elsewhere if a smaller interior id exists
                 if (in_region[a as usize] && a < x) || (in_region[b as usize] && b < x) {
                     return;
                 }
@@ -856,6 +831,75 @@ impl TrussMaintainer {
             }
         }
         vals
+    }
+}
+
+/// A standalone incremental k-truss: a graph of its own and the
+/// [`TrussState`] that follows it. [`TrussMaintainer::apply`] runs a
+/// delta through the same two phases the network maintainer runs
+/// around its network's edit.
+#[derive(Debug, Clone)]
+pub struct TrussMaintainer {
+    graph: Graph,
+    state: TrussState,
+}
+
+impl TrussMaintainer {
+    /// Seeds the maintainer from a copy of `g` with a full (parallel)
+    /// support count and peel.
+    pub fn new(g: &Graph) -> Self {
+        Self {
+            graph: g.clone(),
+            state: TrussState::new(g),
+        }
+    }
+
+    /// The maintained graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The maintained trussness, by edge id of [`TrussMaintainer::graph`].
+    pub fn trussness(&self) -> &[u32] {
+        self.state.trussness()
+    }
+
+    /// Nodes in the maintained universe.
+    pub fn node_count(&self) -> usize {
+        self.graph.node_count()
+    }
+
+    /// Live edges.
+    pub fn edge_count(&self) -> usize {
+        self.graph.edge_count()
+    }
+
+    /// Grows the node universe to at least `n` nodes.
+    pub fn grow_nodes(&mut self, n: usize) {
+        while self.graph.node_count() < n {
+            self.graph.add_node(0);
+        }
+    }
+
+    /// The maintained trussness of edge `u -- v`, if present.
+    pub fn trussness_of(&self, u: NodeId, v: NodeId) -> Option<u32> {
+        if u.index() >= self.node_count() || v.index() >= self.node_count() {
+            return None;
+        }
+        let e = self.graph.edge_between(u, v)?;
+        Some(self.state.truss[e.index()])
+    }
+
+    /// Applies one edge-churn batch (deletes first, then inserts) and
+    /// restores exact trussness by repeeling only the affected region.
+    pub fn apply(&mut self, delta: &crate::delta::EdgeDelta) -> TrussDeltaStats {
+        let batch = delta.to_batch(self.graph.node_count());
+        let dead = self.graph.removal_ids(&batch);
+        let seeds = self.state.before_edit(&self.graph, &dead);
+        let edit = self.graph.apply_batch_removing(&batch, dead);
+        let mut stats = self.state.after_edit(&self.graph, &edit, seeds);
+        stats.skipped = delta.len() - stats.inserts - stats.deletes;
+        stats
     }
 }
 
@@ -1053,14 +1097,24 @@ mod tests {
         g
     }
 
+    /// The maintainer's graph holds exactly `edges` (in any orientation)
+    /// and its maintained trussness equals a fresh peel of that graph.
     #[track_caller]
     fn assert_matches_fresh(m: &TrussMaintainer, edges: &[(u32, u32)], ctx: &str) {
-        let g = graph_of(m.node_count(), edges);
-        let expect = trussness(&g);
-        assert_eq!(m.edge_count(), g.edge_count(), "{ctx}: edge count");
+        let key = |(u, v): (u32, u32)| (u.min(v), u.max(v));
+        let g = m.graph();
+        let mut got: Vec<(u32, u32)> = g
+            .edges()
+            .map(|e| g.endpoints(e))
+            .map(|(u, v)| key((u.0, v.0)))
+            .collect();
+        let mut want: Vec<(u32, u32)> = edges.iter().map(|&e| key(e)).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "{ctx}: edge set");
         assert_eq!(
-            m.trussness_for(&g),
-            Some(expect),
+            m.trussness(),
+            trussness(g),
             "{ctx}: maintained trussness != fresh peel"
         );
     }
@@ -1128,6 +1182,72 @@ mod tests {
     }
 
     #[test]
+    fn edge_case_batches_match_fresh_peel() {
+        use crate::delta::{absorb, edge_case_delta, EDGE_CASES};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let _guard = crate::kernel_test_lock();
+        let prev = par::thread_cap();
+        for cap in [1usize, 4] {
+            par::set_thread_cap(cap);
+            for seed in 0..12u64 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut g = crate::generate::erdos_renyi(40, 0.12, 0, &mut rng);
+                // a hub joined to a third of the nodes
+                for v in 1..40 {
+                    if rng.gen_bool(0.35) {
+                        g.add_edge(NodeId(0), NodeId(v), 0);
+                    }
+                }
+                let key = |(u, v): (NodeId, NodeId)| (u.0.min(v.0), u.0.max(v.0));
+                let mut set: BTreeSet<(u32, u32)> =
+                    g.edges().map(|e| key(g.endpoints(e))).collect();
+                let mut m = TrussMaintainer::new(&g);
+                for round in 0..EDGE_CASES {
+                    let delta = edge_case_delta(m.graph(), round);
+                    absorb(&mut set, &delta);
+                    let stats = m.apply(&delta);
+                    assert!(
+                        stats.inserts + stats.deletes > 0,
+                        "round {round} is a no-op"
+                    );
+                    let edges: Vec<(u32, u32)> = set.iter().copied().collect();
+                    let ctx = format!("seed {seed} cap {cap} edge case {round}");
+                    assert_matches_fresh(&m, &edges, &ctx);
+                }
+            }
+        }
+        par::set_thread_cap(prev);
+    }
+
+    #[test]
+    fn before_edit_renumbers_the_surviving_partners() {
+        use crate::delta::EdgeBatch;
+        // triangles 0-1-2 (edges 0, 1, 2) and 2-3-4 (edges 3, 4, 5)
+        let mut g = graph_of(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]);
+        let mut state = TrussState::new(&g);
+        let batch = EdgeBatch {
+            edge_removals: vec![(1, 0), (0, 2), (3, 4)],
+            ..EdgeBatch::default()
+        };
+        let dead = g.removal_ids(&batch);
+        assert_eq!(dead, vec![EdgeId(0), EdgeId(2), EdgeId(4)]);
+        // the partners 1-2 (old id 1) and 2-3, 2-4 (old ids 3, 5)
+        // survive as ids 0, 1 and 2
+        let seeds = state.before_edit(&g, &dead);
+        assert_eq!(seeds, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
+        let edit = g.apply_batch_removing(&batch, dead);
+        let stats = state.after_edit(&g, &edit, seeds);
+        assert_eq!(
+            (stats.deletes, stats.inserts, stats.region_edges),
+            (3, 0, 3)
+        );
+        assert_eq!(state.trussness(), trussness(&g));
+        assert_eq!(state.support, vec![0; 3]);
+    }
+
+    #[test]
     fn insert_raises_a_whole_truss_class() {
         use crate::delta::EdgeDelta;
         // diamond (K4 minus a chord): every edge is 3-truss; inserting the
@@ -1191,6 +1311,27 @@ mod tests {
             .map(|&(u, v)| m.trussness_of(NodeId(u), NodeId(v)))
             .collect();
         assert_eq!(snapshot, after, "round trip restores every value");
+
+        // a pair removed and re-added by one batch, reversed, is a fresh
+        // insert that lands on the same values
+        let stats = m.apply(&EdgeDelta {
+            deletes: vec![(0, 2)],
+            inserts: vec![(2, 0)],
+        });
+        assert_eq!((stats.deletes, stats.inserts, stats.skipped), (1, 1, 0));
+        assert_matches_fresh(&m, &start[..6], "remove and re-add");
+        assert_eq!(m.trussness_of(NodeId(0), NodeId(2)), Some(3));
+
+        // two edges of one triangle and all three of the other together
+        m.apply(&EdgeDelta::deleting(vec![
+            (0, 1),
+            (1, 2),
+            (3, 4),
+            (4, 5),
+            (3, 5),
+        ]));
+        assert_matches_fresh(&m, &[(0, 2)], "triangles removed together");
+        assert_eq!(m.trussness_of(NodeId(0), NodeId(2)), Some(2));
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl Budget {
         self
     }
 
-    /// The cancel token this budget polls.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// The wall-clock deadline, if one is set. Blocking layers in front
     /// of a pipeline (e.g. `vqi-serve` admission queues) bound their
     /// waits by this instant so a queued request cannot outlive its own
@@ -186,18 +181,6 @@ pub struct Meter {
 }
 
 impl Meter {
-    /// A meter that never trips (for kernel paths whose caller has no
-    /// budget).
-    pub fn unarmed(stage: &'static str) -> Meter {
-        Meter {
-            stage,
-            quota: None,
-            deadline: None,
-            cancel: CancelToken::new(),
-            since_poll: 0,
-        }
-    }
-
     /// Counts one unit of kernel work. The deterministic quota is
     /// decremented every call; the wall clock and cancel flag are
     /// polled every [`POLL_INTERVAL`] calls.
