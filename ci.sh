@@ -55,20 +55,17 @@ echo "== benchmark harness (builds perfbench against the workspace API) =="
 # APIs, so an API change that breaks it fails here, not in a bench run
 python3 perfbench/run.py --test
 
-echo "== consistency tests (cache + incremental greedy vs reference) =="
-named_test -p vqi-graph cache
+echo "== consistency tests (incremental greedy vs reference) =="
 named_test -p vqi-core bitset
 # the shared selection engine against its full-recompute reference,
 # over both coverage universes (graph positions and edge ids)
 named_test -p vqi-core incremental_greedy_matches_reference
-named_test -p vqi-core swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache
 
 echo "== kernel consistency tests (indexed/bounded kernels vs naive) =="
 named_test -p vqi-graph indexed_matching_is_answer_identical_to_naive
 # an unsound fingerprint filter silently drops query answers
 named_test -p vqi-graph fingerprint_feasibility_is_necessary
 named_test -p vqi-graph bounded_fold_is_bit_identical_to_exact_fold
-named_test -p vqi-graph bounded_cached_folds_identically_and_keeps_entries_exact
 named_test -p vqi-core bound_and_skip_changes_no_selection
 # the shared collection query sweep (fingerprint-filtered, indexed)
 # against a plain VF2 scan, with the service's and the wildcard options
@@ -90,7 +87,9 @@ echo "== thread-count invariance (parallel kernels vs sequential references) =="
 # count, so run the consistency tests twice with pinned defaults; the
 # occurrence-driven subtree miner is checked against its
 # generate-and-test oracle, the shared swap refiner against its
-# per-pair reference loop (over bounded and exact candidates), the lazy
+# per-pair reference loop (over bounded and exact candidates) and its
+# held pair similarities against the plain set score (each pair
+# computed once per call), the lazy
 # greedy (exact coverage searched only where a bound can still win)
 # against the eager loop over exact coverage, TATTOO's closed-form
 # coverage bounds against the capped and uncapped searches they must
@@ -106,6 +105,7 @@ for threads in 1 4; do
     VQI_NUM_THREADS=$threads named_test -p vqi-graph batch_canonicalization_matches_sequential_across_thread_counts
     VQI_NUM_THREADS=$threads named_test -p vqi-mining occurrence_miner_matches_generate_and_test_oracle
     VQI_NUM_THREADS=$threads named_test -p vqi-core refiner_matches_the_reference_swap_loop
+    VQI_NUM_THREADS=$threads named_test -p vqi-core held_similarities_score_bit_identically_and_compute_each_pair_once
     VQI_NUM_THREADS=$threads named_test -p vqi-core lazy_greedy_equals_the_eager_loop
     VQI_NUM_THREADS=$threads named_test -p tattoo coverage_bounds_contain_every_embedding
     VQI_NUM_THREADS=$threads named_test -p tattoo maintainer_swaps_resolve_only_candidates_that_can_win

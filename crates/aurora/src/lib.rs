@@ -99,7 +99,7 @@ impl Aurora {
                     coverage.set(pos);
                 }
                 let provenance = format!("aurora:sup{}", m.support());
-                Scored::new(m.graph, m.code, coverage, provenance)
+                Scored::new(m.graph, coverage, provenance)
             })
             .collect();
         // with an unlimited budget nothing can trip; a fault plan's

@@ -9,9 +9,7 @@
 //! greedy) stays global. Shape: quality stays near the whole-graph
 //! baseline while the map phase shrinks with shard count.
 
-use bench::{
-    enable_metrics, print_cache_stats, print_table, timed_ms, write_json, write_metrics_json,
-};
+use bench::{enable_metrics, print_table, timed_ms, write_json, write_metrics_json};
 use tattoo::{ShardedTattoo, Tattoo, TattooConfig};
 use vqi_core::budget::PatternBudget;
 use vqi_core::repo::GraphRepository;
@@ -109,7 +107,6 @@ fn main() {
         &table,
     );
     write_json("e14_partitioned", &rows);
-    print_cache_stats();
     write_metrics_json("e14_partitioned");
 
     let whole_score = rows[0].score;

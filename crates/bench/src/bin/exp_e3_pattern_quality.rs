@@ -4,9 +4,7 @@
 //! desiderata).
 
 use aurora::Aurora;
-use bench::{
-    enable_metrics, print_cache_stats, print_table, time_ms, write_json, write_metrics_json,
-};
+use bench::{enable_metrics, print_table, time_ms, write_json, write_metrics_json};
 use catapult::Catapult;
 use tattoo::Tattoo;
 use vqi_core::budget::PatternBudget;
@@ -105,7 +103,6 @@ fn main() {
         &table,
     );
     write_json("e3_pattern_quality", &rows);
-    print_cache_stats();
     write_metrics_json("e3_pattern_quality");
 
     // shape: the regime-appropriate data-driven selector beats random

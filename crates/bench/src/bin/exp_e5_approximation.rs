@@ -4,7 +4,7 @@
 //! greedy/OPT ratio; the shape claim is that it sits at or above 1−1/e
 //! (and far above the paper's conservative 1/e bound).
 
-use bench::{enable_metrics, print_cache_stats, print_table, write_json, write_metrics_json};
+use bench::{enable_metrics, print_table, write_json, write_metrics_json};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tattoo::candidates::{extract_from_region, ExtractParams};
@@ -98,7 +98,6 @@ fn main() {
         &table,
     );
     write_json("e5_approximation", &rows);
-    print_cache_stats();
     write_metrics_json("e5_approximation");
 
     let bound = 1.0 - 1.0 / std::f64::consts::E;

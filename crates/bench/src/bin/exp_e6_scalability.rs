@@ -5,9 +5,7 @@
 //! over the whole network treated as a one-graph collection) grows much
 //! faster than TATTOO's.
 
-use bench::{
-    enable_metrics, print_cache_stats, print_table, timed_ms, write_json, write_metrics_json,
-};
+use bench::{enable_metrics, print_table, timed_ms, write_json, write_metrics_json};
 use catapult::Catapult;
 use tattoo::Tattoo;
 use vqi_core::budget::PatternBudget;
@@ -66,7 +64,6 @@ fn main() {
         &table,
     );
     write_json("e6_scalability", &rows);
-    print_cache_stats();
     write_metrics_json("e6_scalability");
 
     // shape: the gap grows with network size

@@ -58,8 +58,8 @@ fn network() -> Graph {
 const REPS: usize = 5;
 
 /// Times `plain` and `ctrl_run` interleaved over [`REPS`] repetitions
-/// (after a warm-up pass so both see the same kernel-cache state) and
-/// keeps the per-path minimum — the least-noise estimator for a
+/// (after a warm-up pass that builds every lazily built index and code)
+/// and keeps the per-path minimum — the least-noise estimator for a
 /// deterministic workload — asserting on every repetition that the
 /// ctrl path is `Complete` and selects the identical set.
 fn overhead_of(

@@ -19,7 +19,8 @@
 //!    run end-to-end with the thread cap pinned to 1 and again at all
 //!    available cores; each pipeline's selected pattern set (canonical
 //!    codes) is asserted identical across the two runs. A warm-up pass
-//!    runs first so both measured runs see the same kernel-cache state.
+//!    runs first so both measured runs find every lazily built index
+//!    and code in place.
 //!
 //! Writes `BENCH_pipelines.json` at the repository root.
 
@@ -53,8 +54,8 @@ fn selection_codes(set: &PatternSet) -> Vec<CanonicalCode> {
 /// cores, asserting both selections are identical. Returns
 /// `(ms_1thread, ms_all)`.
 fn pipeline_times(name: &str, run: impl Fn() -> PatternSet) -> (f64, f64) {
-    // warm-up: fills the kernel caches so the two measured runs start
-    // from the same cache state
+    // warm-up: builds every graph's lazily built index and code, so the
+    // two measured runs do the same work
     run();
     par::set_thread_cap(1);
     let (one, one_ms) = time_ms(&run);

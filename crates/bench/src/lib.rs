@@ -110,59 +110,6 @@ pub fn write_metrics_json(name: &str) {
     println!("(wrote {})", path.display());
 }
 
-/// Rows summarizing the kernel cache counters (`cache.<kernel>.hit` /
-/// `.miss` / `.evict`) from the current metrics snapshot: one row per
-/// kernel as `[kernel, hits, misses, evictions, hit rate]`. Empty when
-/// no cache counter has fired (metrics disabled or cache untouched).
-pub fn cache_stats_rows() -> Vec<Vec<String>> {
-    let snapshot = vqi_observe::snapshot();
-    let mut kernels: std::collections::BTreeMap<String, (u64, u64, u64)> = Default::default();
-    for (name, &v) in &snapshot.counters {
-        if let Some(rest) = name.strip_prefix("cache.") {
-            if let Some((kernel, field)) = rest.rsplit_once('.') {
-                let e = kernels.entry(kernel.to_string()).or_default();
-                match field {
-                    "hit" => e.0 = v,
-                    "miss" => e.1 = v,
-                    "evict" => e.2 = v,
-                    _ => {}
-                }
-            }
-        }
-    }
-    kernels
-        .into_iter()
-        .map(|(kernel, (hit, miss, evict))| {
-            let total = hit + miss;
-            let rate = if total == 0 {
-                0.0
-            } else {
-                hit as f64 / total as f64
-            };
-            vec![
-                kernel,
-                hit.to_string(),
-                miss.to_string(),
-                evict.to_string(),
-                format!("{:.1}%", rate * 100.0),
-            ]
-        })
-        .collect()
-}
-
-/// Prints the kernel-cache hit-rate table; silent if no cache counters
-/// were recorded.
-pub fn print_cache_stats() {
-    let rows = cache_stats_rows();
-    if !rows.is_empty() {
-        print_table(
-            "kernel cache",
-            &["kernel", "hits", "misses", "evictions", "hit rate"],
-            &rows,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,25 +151,6 @@ mod tests {
                 >= 1
         );
         vqi_observe::reset();
-    }
-
-    #[test]
-    fn cache_stats_rows_parse_counters() {
-        let _guard = METRICS_LOCK.lock().unwrap();
-        enable_metrics();
-        vqi_observe::incr("cache.mcs.hit", 3);
-        vqi_observe::incr("cache.mcs.miss", 1);
-        vqi_observe::incr("cache.covers.miss", 2);
-        vqi_observe::incr("cache.covers.evict", 1);
-        vqi_observe::set_enabled(false);
-        let rows = cache_stats_rows();
-        vqi_observe::reset();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][0], "covers");
-        assert_eq!(rows[0][4], "0.0%");
-        assert_eq!(rows[1][0], "mcs");
-        assert_eq!(rows[1][1], "3");
-        assert_eq!(rows[1][4], "75.0%");
     }
 
     #[test]

@@ -471,8 +471,8 @@ mod tests {
         let _guard = crate::fault_test_lock();
         let col = GraphCollection::new(molecule_like());
         let budget = PatternBudget::new(4, 4, 6);
-        // warm-up fills the kernel caches so every measured run sees
-        // the same cache-hit pattern
+        // warm-up builds every graph's lazily built index and code, so
+        // every measured run does the same work
         Catapult::default().run_with_state(&col, &budget);
         let run = || drop(Catapult::default().run_with_state(&col, &budget));
         let one = observed_aggregates(1, run);

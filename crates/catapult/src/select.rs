@@ -15,7 +15,6 @@ use vqi_core::pattern::PatternSet;
 use vqi_core::repo::GraphCollection;
 use vqi_core::score::{cognitive_load, coverage_bitsets, QualityWeights};
 use vqi_core::select::{anytime_greedy, ScoredPattern};
-use vqi_graph::canon::CanonicalCode;
 use vqi_graph::Graph;
 use vqi_runtime::VqiError;
 
@@ -33,9 +32,6 @@ pub struct ScoredCandidate {
 impl ScoredPattern for ScoredCandidate {
     fn graph(&self) -> &Graph {
         &self.candidate.graph
-    }
-    fn code(&self) -> &CanonicalCode {
-        &self.candidate.code
     }
     fn coverage(&self) -> &BitSet {
         &self.coverage

@@ -566,7 +566,7 @@ impl Midas {
                 .into_iter()
                 .zip(coverages)
                 .filter(|(_, coverage)| coverage.any())
-                .map(|(c, coverage)| Scored::new(c.graph, c.code, coverage, "midas:swap".into()))
+                .map(|(c, coverage)| Scored::new(c.graph, coverage, "midas:swap".into()))
                 .collect::<Vec<Scored>>()
         }) {
             Ok(cands) => cands,
@@ -829,8 +829,8 @@ mod tests {
             }
             m.apply_update(BatchUpdate::adding(batch));
         };
-        // warm-up fills the kernel caches so every measured run sees
-        // the same cache-hit pattern
+        // warm-up builds every graph's lazily built index and code, so
+        // every measured run does the same work
         maintain();
         let one = observed_aggregates(1, maintain);
         assert!(!one.0.is_empty(), "no spans recorded");

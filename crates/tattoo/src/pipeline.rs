@@ -338,9 +338,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(13);
         let net = barabasi_albert(200, 3, 1, &mut rng);
         let budget = PatternBudget::new(5, 4, 6);
-        // warm-up fills the kernel caches so every measured run sees
-        // the same cache-hit pattern
-        Tattoo::default().run(&net, &budget);
         let one = observed_aggregates(1, || drop(Tattoo::default().run(&net, &budget)));
         assert!(!one.0.is_empty(), "no spans recorded");
         assert!(one.1.values().sum::<u64>() > 0, "no journal events");

@@ -44,7 +44,6 @@ use vqi_core::score::{
     set_score_bitsets, QualityWeights,
 };
 use vqi_core::select::{anytime_greedy, ScoredPattern};
-use vqi_graph::canon::CanonicalCode;
 use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::PatternPlan;
 use vqi_graph::{par, Graph};
@@ -64,9 +63,6 @@ pub struct ScoredCandidate {
 impl ScoredPattern for ScoredCandidate {
     fn graph(&self) -> &Graph {
         &self.candidate.graph
-    }
-    fn code(&self) -> &CanonicalCode {
-        &self.candidate.code
     }
     fn coverage(&self) -> &BitSet {
         &self.covered
@@ -115,9 +111,6 @@ impl BoundedCandidate<'_> {
 impl ScoredPattern for BoundedCandidate<'_> {
     fn graph(&self) -> &Graph {
         self.scored.graph()
-    }
-    fn code(&self) -> &CanonicalCode {
-        self.scored.code()
     }
     fn coverage(&self) -> &BitSet {
         &self.scored.covered

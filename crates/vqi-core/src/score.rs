@@ -35,10 +35,9 @@
 use crate::bitset::BitSet;
 use crate::pattern::PatternSet;
 use crate::repo::{GraphCollection, GraphEntry, GraphRepository};
-use vqi_graph::cache;
-use vqi_graph::canon::{canonical_code, CanonicalCode};
 use vqi_graph::index::GraphIndex;
 use vqi_graph::iso::{is_subgraph_isomorphic, MatchOptions, PatternPlan};
+use vqi_graph::mcs::mcs_similarity;
 use vqi_graph::par;
 use vqi_graph::star::{CoverageBounds, Star};
 use vqi_graph::Graph;
@@ -102,21 +101,31 @@ pub fn set_score_bitsets(
 /// scored as absent: it adds neither diversity nor cognitive load, so
 /// no diversity credit keeps it in a maintained set. The live patterns
 /// keep their order. An empty repository or a set with no live pattern
-/// scores 0 in every field — the unified empty-repository convention
-/// (previously TATTOO divided by `total.max(1)` while its greedy loop
-/// returned early, giving empty repositories two different scores).
+/// scores 0 in every field.
 pub fn quality_bitsets(
     patterns: &[&Graph],
     bitsets: &[&BitSet],
     total: usize,
     w: QualityWeights,
 ) -> QualityReport {
-    let live: Vec<&Graph> = patterns
-        .iter()
-        .zip(bitsets)
-        .filter(|(_, b)| b.any())
-        .map(|(&g, _)| g)
-        .collect();
+    quality_with(patterns, bitsets, total, w, |i, j| {
+        mcs_similarity(patterns[i], patterns[j])
+    })
+}
+
+/// [`quality_bitsets`] with the pair similarities supplied by the
+/// caller: `sim(i, j)`, for positions `i < j` of two live patterns, must
+/// be `mcs_similarity(patterns[i], patterns[j])`. Pairs are asked for in
+/// the order [`diversity`] sums them, so a caller that holds the
+/// similarities gets the same score, bit for bit.
+pub(crate) fn quality_with(
+    patterns: &[&Graph],
+    bitsets: &[&BitSet],
+    total: usize,
+    w: QualityWeights,
+    mut sim: impl FnMut(usize, usize) -> f64,
+) -> QualityReport {
+    let live: Vec<usize> = (0..patterns.len()).filter(|&i| bitsets[i].any()).collect();
     if total == 0 || live.is_empty() {
         return QualityReport::default();
     }
@@ -125,8 +134,8 @@ pub fn quality_bitsets(
         union.union_with(b);
     }
     let coverage = union.count_ones() as f64 / total as f64;
-    let div = diversity(&live);
-    let cl = mean_cognitive_load(live.iter().copied());
+    let div = diversity_with(live.len(), |a, b| sim(live[a], live[b]));
+    let cl = mean_cognitive_load(live.iter().map(|&i| patterns[i]));
     QualityReport {
         coverage,
         diversity: div,
@@ -158,19 +167,22 @@ pub fn mean_cognitive_load<'a, I: IntoIterator<Item = &'a Graph>>(patterns: I) -
 /// Structural diversity of a set of pattern graphs: `1 − mean pairwise
 /// MCS similarity`. Sets with at most one pattern are maximally diverse.
 pub fn diversity(patterns: &[&Graph]) -> f64 {
-    let k = patterns.len();
+    diversity_with(patterns.len(), |i, j| {
+        mcs_similarity(patterns[i], patterns[j])
+    })
+}
+
+/// [`diversity`] of `k` patterns whose pair similarities `sim(i, j)`,
+/// `i < j`, are summed in pair order. At most k(k − 1)/2 pairs of a
+/// pattern set: forking workers for them costs more than it saves, so
+/// the loop stays on this thread.
+fn diversity_with(k: usize, mut sim: impl FnMut(usize, usize) -> f64) -> f64 {
     if k <= 1 {
         return 1.0;
     }
-    // canonical codes are cheap for pattern-sized graphs and turn the
-    // quadratic MCS bill into cache hits across repeated evaluations.
-    // At most k(k − 1)/2 pairs of a pattern set: forking workers for
-    // them costs more than the lookups, so the loop stays on this
-    // thread and sums in pair order
-    let codes: Vec<CanonicalCode> = patterns.iter().map(|g| canonical_code(g)).collect();
     let sum: f64 = (0..k)
         .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
-        .map(|(i, j)| cache::mcs_similarity_cached(patterns[i], &codes[i], patterns[j], &codes[j]))
+        .map(|(i, j)| sim(i, j))
         .sum();
     1.0 - sum / (k * (k - 1) / 2) as f64
 }

@@ -20,7 +20,7 @@
 //! and covers nothing new.
 //!
 //! A caller supplies the candidates through [`ScoredPattern`] (coverage
-//! bitset, graph, canonical code, cognitive load, provenance), the
+//! bitset, graph, cognitive load, provenance), the
 //! universe size, and a stage name. The stage name keys everything the
 //! loop reports: the budget meter and `ctrl.check`, the
 //! `fault::maybe_timeout` site `<stage>`, the `fault::nan_score` site
@@ -39,13 +39,14 @@
 //!
 //! **Why the incremental fold is bit-identical.** Each candidate keeps
 //! a running `max_{q ∈ S} sim(p, q)` that is folded forward against
-//! the one pattern selected in the previous round. Since
+//! the one pattern selected in the previous round, so each
+//! (candidate, pick) pair is computed once per run. Since
 //! `max(a ∪ {b}) = max(max(a), b)` and `f64::max` is exact, this equals
 //! a full recomputation over `S` every round. The fold passes the
 //! running maximum as the `min_useful` threshold of
-//! [`mcs_similarity_cached_bounded`], which returns the exact
-//! similarity whenever it exceeds the threshold and some value at or
-//! below it otherwise, so `max(m, ·)` is unchanged. Scores are computed
+//! [`mcs_similarity_bounded`], which returns the exact similarity
+//! whenever it exceeds the threshold and some value at or below it
+//! otherwise, so `max(m, ·)` is unchanged. Scores are computed
 //! per candidate and the argmax scans them in candidate order under
 //! `total_cmp`, so the selection does not depend on the thread count.
 //!
@@ -54,7 +55,8 @@
 //! greedy. A swap is accepted only if
 //!
 //! 1. the covered union does **not shrink** (progressive coverage), and
-//! 2. the set score ([`set_score_bitsets`], the score
+//! 2. the set score
+//!    ([`set_score_bitsets`](crate::score::set_score_bitsets), the score
 //!    [`evaluate`](crate::score::evaluate) reports) strictly improves.
 //!
 //! Among accepted swaps a scan takes the best-scoring one, except that
@@ -68,16 +70,27 @@
 //! the scan's best run on a candidate's bound first, and each is sound
 //! on it (a superset gains at least as much, loses at most as much and
 //! scores at least as high), so the exact coverage is computed only for
-//! a candidate whose bound passes all three. The stage name keys the
-//! `<stage>.{accepted,considered,pruned,scans,searched}` counters.
+//! a candidate whose bound passes all three.
+//!
+//! Every (candidate, slot) pair rescores the whole set, but its
+//! diversity term reads similarities the refiner holds for the call
+//! (`PairSims`): a k×k matrix of the current patterns and one row per
+//! candidate against the slots. Each pair is computed on first use and
+//! at most once per call; a swap into slot `pi` moves the candidate's
+//! row into row and column `pi` and forgets column `pi` of every other
+//! row. The set score sums the held values in its own pair order, so
+//! every score is bit-identical to
+//! [`set_score_bitsets`](crate::score::set_score_bitsets). The stage
+//! name keys the
+//! `<stage>.{accepted,considered,pruned,scans,searched,sim_calls}`
+//! counters.
 
 use crate::bitset::BitSet;
 use crate::budget::PatternBudget;
 use crate::ctrl::{Budget, Degradation};
 use crate::pattern::{PatternKind, PatternSet};
-use crate::score::{cognitive_load, combined_score, set_score_bitsets, QualityWeights};
-use vqi_graph::cache::mcs_similarity_cached_bounded;
-use vqi_graph::canon::CanonicalCode;
+use crate::score::{cognitive_load, combined_score, quality_with, QualityWeights};
+use vqi_graph::mcs::{mcs_similarity, mcs_similarity_bounded};
 use vqi_graph::par;
 use vqi_graph::Graph;
 use vqi_runtime::{fault, VqiError};
@@ -87,8 +100,6 @@ use vqi_runtime::{fault, VqiError};
 pub trait ScoredPattern: Sync {
     /// The pattern graph.
     fn graph(&self) -> &Graph;
-    /// Canonical code of [`Self::graph`] (the MCS memo key).
-    fn code(&self) -> &CanonicalCode;
     /// Covered units of the universe (graph positions or edge ids), or
     /// a superset of them when [`Self::exact_coverage`] computes them.
     fn coverage(&self) -> &BitSet;
@@ -107,25 +118,23 @@ pub trait ScoredPattern: Sync {
 }
 
 /// A ready-made [`ScoredPattern`] for callers without a candidate type
-/// of their own. Fields are private so the code and cognitive load
-/// always belong to the graph.
+/// of their own. Fields are private so the cognitive load always
+/// belongs to the graph.
 #[derive(Debug, Clone)]
 pub struct Scored {
     graph: Graph,
-    code: CanonicalCode,
     coverage: BitSet,
     cognitive_load: f64,
     provenance: String,
 }
 
 impl Scored {
-    /// A candidate over `graph`, whose canonical code is `code`; the
-    /// cognitive load is computed from `graph`.
-    pub fn new(graph: Graph, code: CanonicalCode, coverage: BitSet, provenance: String) -> Self {
+    /// A candidate over `graph`; the cognitive load is computed from
+    /// `graph`.
+    pub fn new(graph: Graph, coverage: BitSet, provenance: String) -> Self {
         Scored {
             cognitive_load: cognitive_load(&graph),
             graph,
-            code,
             coverage,
             provenance,
         }
@@ -135,9 +144,6 @@ impl Scored {
 impl ScoredPattern for Scored {
     fn graph(&self) -> &Graph {
         &self.graph
-    }
-    fn code(&self) -> &CanonicalCode {
-        &self.code
     }
     fn coverage(&self) -> &BitSet {
         &self.coverage
@@ -301,14 +307,7 @@ pub fn anytime_greedy<C: ScoredPattern>(
             // the only MCS work of the round
             vqi_observe::incr(&sim_calls, candidates.len() as u64);
             let sims: Vec<f64> = par::map_range(candidates.len(), |i| {
-                let c = &candidates[i];
-                mcs_similarity_cached_bounded(
-                    c.graph(),
-                    c.code(),
-                    chosen.graph(),
-                    chosen.code(),
-                    max_sim[i],
-                )
+                mcs_similarity_bounded(candidates[i].graph(), chosen.graph(), max_sim[i])
             });
             for (m, s) in max_sim.iter_mut().zip(sims) {
                 *m = f64::max(*m, s);
@@ -375,8 +374,9 @@ pub struct SwapStats {
 /// once its bound passes every test of a pair (see the module docs),
 /// so each swap is the one made over exact coverage. A bounded
 /// candidate must cover something: an empty coverage scores its
-/// pattern as absent, which the bound does not bound. Emits
-/// `<stage>.{accepted,considered,pruned,scans,searched}`.
+/// pattern as absent, which the bound does not bound. Each MCS pair is
+/// computed at most once per call (see the module docs). Emits
+/// `<stage>.{accepted,considered,pruned,scans,searched,sim_calls}`.
 pub fn swap_refine<C: ScoredPattern>(
     patterns: &mut PatternSet,
     bitsets: &mut [BitSet],
@@ -386,12 +386,13 @@ pub fn swap_refine<C: ScoredPattern>(
     stage: &str,
 ) -> SwapStats {
     let mut stats = SwapStats::default();
-    let mut searched = 0;
+    let (mut searched, mut sim_calls) = (0, 0);
     let universe = bitsets.first().map_or(0, BitSet::len);
     if universe > 0 && !patterns.is_empty() {
         candidates.retain(|c| !patterns.contains_isomorphic(c.graph()));
         stats.considered = candidates.len();
         let mut known: Vec<Known> = candidates.iter().map(|_| Known::Bound).collect();
+        let mut sims = PairSims::new(patterns.len(), candidates.len(), weights);
         for _ in 0..scans {
             stats.scans += 1;
             let Some((ci, pi)) = best_swap(
@@ -399,7 +400,7 @@ pub fn swap_refine<C: ScoredPattern>(
                 bitsets,
                 &candidates,
                 &mut known,
-                weights,
+                &mut sims,
                 &mut stats.pruned,
                 &mut searched,
             ) else {
@@ -413,9 +414,11 @@ pub fn swap_refine<C: ScoredPattern>(
             {
                 break;
             }
+            sims.swap(ci, pi);
             bitsets[pi] = coverage;
             stats.swaps += 1;
         }
+        sim_calls = sims.calls;
     }
     for (name, n) in [
         ("accepted", stats.swaps),
@@ -423,10 +426,78 @@ pub fn swap_refine<C: ScoredPattern>(
         ("pruned", stats.pruned),
         ("scans", stats.scans),
         ("searched", searched),
+        ("sim_calls", sim_calls),
     ] {
         vqi_observe::incr(&format!("{stage}.{name}"), n as u64);
     }
     stats
+}
+
+/// The set scores of one [`swap_refine`] call under its weights, with
+/// the MCS similarities they read held for the call and each computed
+/// on first use: `slots[i * k + j]`, `i < j`, between the patterns in
+/// slots `i` and `j`, and `rows[c][j]` between candidate `c` and the
+/// pattern in slot `j`. A held value serves both argument orders, which
+/// relies on the kernel being exactly symmetric.
+struct PairSims {
+    weights: QualityWeights,
+    slots: Vec<Option<f64>>,
+    rows: Vec<Vec<Option<f64>>>,
+    /// MCS computations so far (`<stage>.sim_calls`).
+    calls: usize,
+}
+
+impl PairSims {
+    /// Nothing held yet for `k` slots and `candidates` candidates.
+    fn new(k: usize, candidates: usize, weights: QualityWeights) -> Self {
+        PairSims {
+            weights,
+            slots: vec![None; k * k],
+            rows: vec![vec![None; k]; candidates],
+            calls: 0,
+        }
+    }
+
+    /// The set score of `graphs` over `bitsets` (one per slot), which
+    /// is the current set, or with `swap = Some((ci, pi))` the current
+    /// set with candidate `ci` in slot `pi`. Equals
+    /// [`set_score_bitsets`](crate::score::set_score_bitsets) on the
+    /// same arguments, bit for bit.
+    fn set_score(
+        &mut self,
+        graphs: &[&Graph],
+        bitsets: &[&BitSet],
+        universe: usize,
+        swap: Option<(usize, usize)>,
+    ) -> f64 {
+        let k = graphs.len();
+        let sim = |i: usize, j: usize| {
+            let cell = match swap {
+                Some((ci, pi)) if i == pi => &mut self.rows[ci][j],
+                Some((ci, pi)) if j == pi => &mut self.rows[ci][i],
+                _ => &mut self.slots[i * k + j],
+            };
+            *cell.get_or_insert_with(|| {
+                self.calls += 1;
+                mcs_similarity(graphs[i], graphs[j])
+            })
+        };
+        quality_with(graphs, bitsets, universe, self.weights, sim).score
+    }
+
+    /// Candidate `ci` has replaced the pattern in slot `pi`: its row
+    /// becomes row and column `pi`, and every other row forgets slot
+    /// `pi`.
+    fn swap(&mut self, ci: usize, pi: usize) {
+        let row = self.rows.swap_remove(ci);
+        let k = row.len();
+        for (j, sim) in row.into_iter().enumerate().filter(|&(j, _)| j != pi) {
+            self.slots[pi.min(j) * k + pi.max(j)] = sim;
+        }
+        for row in &mut self.rows {
+            row[pi] = None;
+        }
+    }
 }
 
 /// One scan of [`swap_refine`]: the accepted `(candidate, pattern)`
@@ -440,7 +511,7 @@ fn best_swap<C: ScoredPattern>(
     bitsets: &[BitSet],
     candidates: &[C],
     known: &mut [Known],
-    weights: QualityWeights,
+    sims: &mut PairSims,
     pruned: &mut usize,
     searched: &mut usize,
 ) -> Option<(usize, usize)> {
@@ -464,7 +535,7 @@ fn best_swap<C: ScoredPattern>(
     // slot pi, scores, and puts the pattern back
     let mut graphs: Vec<&Graph> = patterns.graphs().collect();
     let bit_refs = || bitsets.iter().collect::<Vec<&BitSet>>();
-    let current = set_score_bitsets(&graphs, &bit_refs(), universe, weights);
+    let current = sims.set_score(&graphs, &bit_refs(), universe, None);
 
     let mut best: Option<((bool, f64), usize, usize)> = None;
     for (ci, cand) in candidates.iter().enumerate() {
@@ -483,7 +554,7 @@ fn best_swap<C: ScoredPattern>(
                 let old_graph = std::mem::replace(&mut graphs[pi], cand.graph());
                 let mut with = bit_refs();
                 with[pi] = coverage;
-                let score = set_score_bitsets(&graphs, &with, universe, weights);
+                let score = sims.set_score(&graphs, &with, universe, Some((ci, pi)));
                 graphs[pi] = old_graph;
                 let key = (dead[pi], score);
                 if score > current + 1e-12 && best.is_none_or(|(k, _, _)| key > k) {
@@ -504,8 +575,8 @@ fn best_swap<C: ScoredPattern>(
 mod tests {
     use super::*;
     use crate::repo::GraphCollection;
-    use crate::score::{coverage_bitsets, edge_coverage_bitsets};
-    use vqi_graph::canon::canonical_code;
+    use crate::score::{coverage_bitsets, edge_coverage_bitsets, set_score_bitsets};
+    use vqi_graph::canon::CanonicalCode;
     use vqi_graph::generate::{chain, clique, cycle, star};
     use vqi_graph::graph::GraphBuilder;
     use vqi_graph::index::GraphIndex;
@@ -514,11 +585,8 @@ mod tests {
     use crate::test_lock as lock;
 
     fn cand(graph: Graph, coverage: BitSet) -> Scored {
-        let (code, provenance) = (
-            canonical_code(&graph),
-            format!("test:{}", graph.edge_count()),
-        );
-        Scored::new(graph, code, coverage, provenance)
+        let provenance = format!("test:{}", graph.edge_count());
+        Scored::new(graph, coverage, provenance)
     }
 
     fn patterns() -> Vec<Graph> {
@@ -893,12 +961,9 @@ mod tests {
                 .is_ok()
             {
                 for (i, m) in max_sim.iter_mut().enumerate() {
-                    let c = &candidates[i];
-                    *m = m.max(mcs_similarity_cached_bounded(
-                        c.graph(),
-                        c.code(),
+                    *m = m.max(mcs_similarity_bounded(
+                        candidates[i].graph(),
                         chosen.graph(),
-                        chosen.code(),
                         *m,
                     ));
                 }
@@ -919,9 +984,6 @@ mod tests {
     impl ScoredPattern for Bounded {
         fn graph(&self) -> &Graph {
             self.scored.graph()
-        }
-        fn code(&self) -> &CanonicalCode {
-            self.scored.code()
         }
         fn coverage(&self) -> &BitSet {
             self.scored.coverage()
@@ -946,15 +1008,13 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(k, (graph, bound, exact))| {
-                let code = canonical_code(&graph);
                 let provenance = format!("test:{k}");
                 let eager = Scored::new(
                     graph.clone(),
-                    code.clone(),
                     exact.clone().unwrap_or_else(|| bound.clone()),
                     provenance.clone(),
                 );
-                let scored = Scored::new(graph, code, bound, provenance);
+                let scored = Scored::new(graph, bound, provenance);
                 (Bounded { scored, exact }, eager)
             })
             .unzip()
@@ -1364,23 +1424,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_outcome_is_identical_on_a_cold_and_a_warm_kernel_cache() {
-        let build = || {
-            let (mut set, mut bitsets, cands) = two_improving_swaps();
-            let stats = refine(&mut set, &mut bitsets, cands, 5, QualityWeights::default());
-            (set, bitsets, stats)
-        };
-        // the first run computes every MCS term, the second replays
-        // them from the memo the first run filled
-        vqi_graph::cache::clear();
-        let (set_cold, bits_cold, stats_cold) = build();
-        let (set_warm, bits_warm, stats_warm) = build();
-        assert_eq!(stats_cold, stats_warm);
-        assert_eq!(bits_cold, bits_warm);
-        assert!(set_cold == set_warm);
-    }
-
-    #[test]
     fn a_dead_pattern_is_replaced_even_when_diversity_drops() {
         // A covers graphs 0..3; D (labels A never uses) covers nothing;
         // C, a near copy of A, covers the two graphs A misses
@@ -1556,5 +1599,149 @@ mod tests {
         assert_eq!(counters["test.keyed.swap.scans"], stats.scans as u64);
         // exact candidates are never searched
         assert_eq!(counters["test.keyed.swap.searched"], 0);
+    }
+
+    /// Slots and candidates over a network's edge ids for the held
+    /// similarity test: `k` sampled patterns in the slots (one left
+    /// covering nothing on two seeds in three) and up to eight more,
+    /// pairwise non-isomorphic, as candidates, each with its bound and,
+    /// when the bound is loose, its exact coverage. One extra candidate
+    /// covers nothing.
+    #[allow(clippy::type_complexity)]
+    fn held_case(
+        seed: u64,
+        k: usize,
+    ) -> (
+        Vec<Graph>,
+        Vec<BitSet>,
+        Vec<(Graph, BitSet, Option<BitSet>)>,
+        usize,
+    ) {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let g = if seed.is_multiple_of(2) {
+            vqi_datasets::dblp_like(160 + 10 * seed as usize, seed)
+        } else {
+            vqi_datasets::hub_network(seed, 1 + (seed % 3) as u32)
+        };
+        let idx = GraphIndex::build(&g);
+        let mut graphs = sampled_patterns(&g, seed);
+        graphs.shuffle(&mut SmallRng::seed_from_u64(seed * 7 + k as u64));
+        // the slots of a pattern set are pairwise non-isomorphic
+        let mut seen = std::collections::HashSet::new();
+        graphs.retain(|p| seen.insert(vqi_graph::canon::canonical_code(p)));
+        graphs.truncate(k + 8);
+        let bounds = crate::score::edge_coverage_bounds(&graphs, &g, &idx, |p| p);
+        let exact = edge_coverage_bitsets(&graphs, &g, &idx, |p| p);
+        let mut cands: Vec<(Graph, BitSet, Option<BitSet>)> = graphs
+            .into_iter()
+            .zip(bounds)
+            .zip(exact)
+            .map(|((p, (bound, is_exact)), exact)| (p, bound, (!is_exact).then_some(exact)))
+            .collect();
+        let slots: Vec<(Graph, BitSet, Option<BitSet>)> = cands.drain(..k).collect();
+        let mut bitsets: Vec<BitSet> = slots
+            .iter()
+            .map(|(_, bound, exact)| exact.clone().unwrap_or_else(|| bound.clone()))
+            .collect();
+        if !seed.is_multiple_of(3) {
+            bitsets[seed as usize % k] = BitSet::new(g.edge_count());
+        }
+        cands.push((chain(3, 9, 9), BitSet::new(g.edge_count()), None));
+        let slots = slots.into_iter().map(|(p, _, _)| p).collect();
+        (slots, bitsets, cands, g.edge_count())
+    }
+
+    #[test]
+    fn held_similarities_score_bit_identically_and_compute_each_pair_once() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let _guard = lock();
+        let (mut swaps, mut bounded) = (0, 0);
+        vqi_observe::set_enabled(true);
+        for seed in 0..12u64 {
+            for k in 2..=6usize {
+                let ctx = format!("seed {seed} k {k}");
+                let (slots, bitsets, cands, universe) = held_case(seed, k);
+                bounded += cands.iter().filter(|c| c.2.is_some()).count();
+                let w = if seed.is_multiple_of(2) {
+                    QualityWeights::default()
+                } else {
+                    QualityWeights {
+                        diversity: 1.5,
+                        cognitive: 0.25,
+                    }
+                };
+                let n = cands.len();
+
+                // the held matrix, driven through random swaps: a
+                // candidate is scored on its bound or its exact coverage
+                let rng = &mut SmallRng::seed_from_u64(seed ^ (k as u64) << 8);
+                let mut pool: Vec<(&Graph, &BitSet)> = cands
+                    .iter()
+                    .map(|(p, bound, exact)| match exact {
+                        Some(exact) if rng.gen_bool(0.5) => (p, exact),
+                        _ => (p, bound),
+                    })
+                    .collect();
+                let mut graphs: Vec<&Graph> = slots.iter().collect();
+                let mut bits: Vec<&BitSet> = bitsets.iter().collect();
+                let mut sims = PairSims::new(k, n, w);
+                let mut budget = k * (k - 1) / 2 + n * k;
+                for step in 0..3 {
+                    for pass in 0..2 {
+                        let before = sims.calls;
+                        let held = sims.set_score(&graphs, &bits, universe, None);
+                        let want = set_score_bitsets(&graphs, &bits, universe, w);
+                        assert_eq!(held.to_bits(), want.to_bits(), "{ctx}: current set");
+                        for (ci, &(cand, coverage)) in pool.iter().enumerate() {
+                            for pi in 0..k {
+                                let (mut g, mut b) = (graphs.clone(), bits.clone());
+                                (g[pi], b[pi]) = (cand, coverage);
+                                let held = sims.set_score(&g, &b, universe, Some((ci, pi)));
+                                let want = set_score_bitsets(&g, &b, universe, w);
+                                assert_eq!(
+                                    held.to_bits(),
+                                    want.to_bits(),
+                                    "{ctx} step {step}: candidate {ci} in slot {pi}"
+                                );
+                            }
+                        }
+                        let calls = sims.calls - before;
+                        if pass == 0 {
+                            assert!(calls <= budget, "{ctx} step {step}: {calls} > {budget}");
+                        } else {
+                            assert_eq!(calls, 0, "{ctx} step {step}: a pair computed twice");
+                        }
+                    }
+                    // after a swap into slot pi only column pi is new:
+                    // one pair per remaining candidate
+                    let (ci, pi) = (rng.gen_range(0..pool.len()), rng.gen_range(0..k));
+                    sims.swap(ci, pi);
+                    (graphs[pi], bits[pi]) = pool.swap_remove(ci);
+                    budget = pool.len();
+                }
+
+                // the refiner itself: a pattern/pattern pair is computed
+                // at most once, and a candidate/pattern pair at most once
+                // per pattern that ever held a slot
+                let mut set = swap_set(slots.clone());
+                let mut bits = bitsets.clone();
+                let (lazy, _) = bounded_and_exact(cands.clone());
+                let sim_calls = || {
+                    let counters = vqi_observe::snapshot().counters;
+                    counters.get("test.held.sim_calls").copied().unwrap_or(0)
+                };
+                let before = sim_calls();
+                let stats = swap_refine(&mut set, &mut bits, lazy, 4, w, "test.held");
+                let calls = (sim_calls() - before) as usize;
+                let pairs = k * (k - 1) / 2 + stats.considered * (k + stats.swaps);
+                assert!(calls <= pairs, "{ctx}: {calls} MCS calls for {pairs} pairs");
+                swaps += stats.swaps;
+            }
+        }
+        vqi_observe::set_enabled(false);
+        assert!(swaps > 0 && bounded > 0, "{swaps} swaps, {bounded} bounded");
     }
 }

@@ -40,8 +40,8 @@
 //! * [`storage`] — the [`storage::GraphStorage`] backend trait with the
 //!   compact u32-packed [`storage::CsrGraph`] (streamed construction,
 //!   little-endian on-disk images) behind the large-network kernels;
-//! * [`cache`] — sharded, capacity-bounded memoization of the expensive
-//!   kernels (MCS similarity, coverage) keyed by canonical codes;
+//! * [`cache`] — a no-op `clear`, all that is left of the retired
+//!   MCS memo;
 //! * [`io`] — a line-oriented text format compatible with the classic
 //!   `t # / v / e` graph-transaction files;
 //! * [`metrics`] — simple structural statistics.

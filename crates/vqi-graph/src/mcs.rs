@@ -29,7 +29,6 @@
 
 use crate::graph::{Graph, Label, NodeId};
 use crate::index::{mcs_edge_upper_bound, Fingerprint};
-use vqi_runtime::{Budget, Meter, VqiError};
 
 struct McsSearch<'a> {
     a: &'a Graph,
@@ -43,10 +42,6 @@ struct McsSearch<'a> {
     used_b: Vec<bool>,
     best: usize,
     budget: u64,
-    /// optional budget meter, ticked once per search node
-    meter: Option<Meter>,
-    /// set when the meter trips; the search unwinds via `budget = 0`
-    abort: Option<VqiError>,
 }
 
 impl<'a> McsSearch<'a> {
@@ -73,14 +68,6 @@ impl<'a> McsSearch<'a> {
             return;
         }
         self.budget -= 1;
-        if let Some(m) = &mut self.meter {
-            if let Err(e) = m.tick() {
-                self.abort = Some(e);
-                // zeroing the budget short-circuits the rest of the tree
-                self.budget = 0;
-                return;
-            }
-        }
         if common > self.best {
             self.best = common;
         }
@@ -118,18 +105,10 @@ impl<'a> McsSearch<'a> {
     }
 }
 
-/// Core search shared by the exact, seeded, and budget-aware entry
-/// points. `seed` is an initial incumbent: branches that cannot
-/// strictly beat it are cut, and the returned value is
-/// `max(seed, best mapping found)`. A tripped `meter` aborts with the
-/// error instead.
-fn mcs_edge_count_full(
-    a: &Graph,
-    b: &Graph,
-    budget: u64,
-    seed: usize,
-    meter: Option<Meter>,
-) -> Result<usize, VqiError> {
+/// Core search shared by the exact and seeded entry points. `seed` is
+/// an initial incumbent: branches that cannot strictly beat it are cut,
+/// and the returned value is `max(seed, best mapping found)`.
+fn mcs_edge_count_seeded(a: &Graph, b: &Graph, budget: u64, seed: usize) -> usize {
     // search from the smaller graph for a shallower tree
     let (a, b) = if a.node_count() <= b.node_count() {
         (a, b)
@@ -137,7 +116,7 @@ fn mcs_edge_count_full(
         (b, a)
     };
     if a.edge_count() == 0 || b.edge_count() == 0 {
-        return Ok(seed);
+        return seed;
     }
     // order a's nodes by degree descending: high-impact decisions first
     let mut order: Vec<NodeId> = a.nodes().collect();
@@ -161,52 +140,19 @@ fn mcs_edge_count_full(
         used_b: vec![false; b.node_count()],
         best: seed,
         budget,
-        meter,
-        abort: None,
     };
     s.search(0, 0, a.edge_count());
-    match s.abort {
-        Some(e) => Err(e),
-        None => Ok(s.best),
-    }
-}
-
-/// See [`mcs_edge_count_full`]; without a meter the search cannot abort.
-fn mcs_edge_count_seeded(a: &Graph, b: &Graph, budget: u64, seed: usize) -> usize {
-    mcs_edge_count_full(a, b, budget, seed, None).unwrap_or(seed)
-}
-
-/// Budget-aware [`mcs_edge_count`]: a [`Meter`] from `ctrl` is ticked
-/// once per branch-and-bound node. A deterministic tick quota trips at
-/// the same node on every run; a deadline or cancellation is observed
-/// within [`vqi_runtime::ctrl::POLL_INTERVAL`] nodes. With an
-/// unlimited budget the result equals [`mcs_edge_count`] exactly.
-pub fn mcs_edge_count_ctrl(a: &Graph, b: &Graph, ctrl: &Budget) -> Result<usize, VqiError> {
-    mcs_edge_count_full(a, b, DEFAULT_MCS_BUDGET, 0, Some(ctrl.meter("kernel.mcs")))
-}
-
-/// Budget-aware [`mcs_similarity`]; see [`mcs_edge_count_ctrl`].
-pub fn mcs_similarity_ctrl(a: &Graph, b: &Graph, ctrl: &Budget) -> Result<f64, VqiError> {
-    let denom = a.edge_count().max(b.edge_count());
-    if denom == 0 {
-        return Ok(0.0);
-    }
-    Ok(mcs_edge_count_ctrl(a, b, ctrl)? as f64 / denom as f64)
-}
-
-/// Size (in edges) of the maximum common edge subgraph of `a` and `b`
-/// under exact label matching, searched with the given state budget.
-pub fn mcs_edge_count_budgeted(a: &Graph, b: &Graph, budget: u64) -> usize {
-    mcs_edge_count_seeded(a, b, budget, 0)
+    s.best
 }
 
 /// The default branch-and-bound budget (exact for pattern-sized graphs).
 pub const DEFAULT_MCS_BUDGET: u64 = 2_000_000;
 
-/// [`mcs_edge_count_budgeted`] with the default budget (exact for
-/// pattern-sized graphs).
+/// Size (in edges) of the maximum common edge subgraph of `a` and `b`
+/// under exact label matching, searched with [`DEFAULT_MCS_BUDGET`]
+/// (exact for pattern-sized graphs).
 pub fn mcs_edge_count(a: &Graph, b: &Graph) -> usize {
-    mcs_edge_count_budgeted(a, b, DEFAULT_MCS_BUDGET)
+    mcs_edge_count_seeded(a, b, DEFAULT_MCS_BUDGET, 0)
 }
 
 /// MCS-based similarity in `[0, 1]`:
@@ -232,38 +178,6 @@ fn seed_for(min_useful: f64, denom: usize) -> usize {
     seed
 }
 
-/// [`mcs_similarity`] with a usefulness threshold, plus whether the
-/// returned value is exact. See [`mcs_similarity_bounded`].
-pub(crate) fn mcs_similarity_bounded_detail(a: &Graph, b: &Graph, min_useful: f64) -> (f64, bool) {
-    if !min_useful.is_finite() || min_useful <= 0.0 {
-        return (mcs_similarity(a, b), true);
-    }
-    let denom = a.edge_count().max(b.edge_count());
-    if denom == 0 {
-        return (0.0, true);
-    }
-    let seed = seed_for(min_useful, denom);
-    if seed >= denom {
-        // nothing can beat the threshold: sim <= 1 <= min_useful
-        vqi_observe::incr("kernel.mcs.skip_fingerprint", 1);
-        return (min_useful.min(1.0), false);
-    }
-    let ub = mcs_edge_upper_bound(&Fingerprint::of(a), &Fingerprint::of(b));
-    if ub <= seed {
-        // the common edge count cannot exceed the seed: no search at all
-        vqi_observe::incr("kernel.mcs.skip_fingerprint", 1);
-        return ((ub as f64 / denom as f64).min(min_useful), false);
-    }
-    let best = mcs_edge_count_seeded(a, b, DEFAULT_MCS_BUDGET, seed);
-    if best > seed {
-        (best as f64 / denom as f64, true)
-    } else {
-        // the seeded search concluded the true value is <= the threshold
-        vqi_observe::incr("kernel.mcs.pruned", 1);
-        ((seed as f64 / denom as f64).min(min_useful), false)
-    }
-}
-
 /// [`mcs_similarity`] for callers that only care about values above a
 /// threshold: the result is **exact whenever it is `> min_useful`** and
 /// otherwise some value `<= min_useful`, so
@@ -273,7 +187,33 @@ pub(crate) fn mcs_similarity_bounded_detail(a: &Graph, b: &Graph, min_useful: f6
 /// searching) and `kernel.mcs.pruned` (seeded search concluded below the
 /// threshold).
 pub fn mcs_similarity_bounded(a: &Graph, b: &Graph, min_useful: f64) -> f64 {
-    mcs_similarity_bounded_detail(a, b, min_useful).0
+    if !min_useful.is_finite() || min_useful <= 0.0 {
+        return mcs_similarity(a, b);
+    }
+    let denom = a.edge_count().max(b.edge_count());
+    if denom == 0 {
+        return 0.0;
+    }
+    let seed = seed_for(min_useful, denom);
+    if seed >= denom {
+        // nothing can beat the threshold: sim <= 1 <= min_useful
+        vqi_observe::incr("kernel.mcs.skip_fingerprint", 1);
+        return min_useful.min(1.0);
+    }
+    let ub = mcs_edge_upper_bound(&Fingerprint::of(a), &Fingerprint::of(b));
+    if ub <= seed {
+        // the common edge count cannot exceed the seed: no search at all
+        vqi_observe::incr("kernel.mcs.skip_fingerprint", 1);
+        return (ub as f64 / denom as f64).min(min_useful);
+    }
+    let best = mcs_edge_count_seeded(a, b, DEFAULT_MCS_BUDGET, seed);
+    if best > seed {
+        best as f64 / denom as f64
+    } else {
+        // the seeded search concluded the true value is <= the threshold
+        vqi_observe::incr("kernel.mcs.pruned", 1);
+        (seed as f64 / denom as f64).min(min_useful)
+    }
 }
 
 #[cfg(test)]
@@ -396,37 +336,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ctrl_with_unlimited_budget_matches_plain() {
-        let b = Budget::unlimited();
-        for i in 0..6u64 {
-            let g = random_graph(6, 0.5, 2, 2, 100 + i);
-            let h = random_graph(7, 0.4, 2, 2, 200 + i);
-            assert_eq!(
-                mcs_edge_count(&g, &h),
-                mcs_edge_count_ctrl(&g, &h, &b).unwrap()
-            );
-            assert_eq!(
-                mcs_similarity(&g, &h),
-                mcs_similarity_ctrl(&g, &h, &b).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn mcs_tick_quota_trips_deterministically() {
-        let g = random_graph(8, 0.6, 1, 1, 5);
-        let h = random_graph(8, 0.6, 1, 1, 6);
-        let run = || {
-            let b = Budget::unlimited().with_kernel_ticks(50);
-            mcs_edge_count_ctrl(&g, &h, &b)
-        };
-        let a = run();
-        let b2 = run();
-        assert_eq!(a, b2, "same quota must trip identically");
-        assert!(matches!(a, Err(VqiError::QuotaExceeded { .. })));
     }
 
     #[test]

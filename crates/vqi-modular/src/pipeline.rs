@@ -8,7 +8,7 @@ use vqi_core::repo::{GraphCollection, GraphRepository};
 use vqi_core::score::{coverage_bitsets, QualityWeights};
 use vqi_core::select::{anytime_greedy, Scored};
 use vqi_core::selector::PatternSelector;
-use vqi_graph::canon::{canonical_codes, CanonicalCode};
+use vqi_graph::canon::canonical_codes;
 use vqi_graph::Graph;
 use vqi_mining::cluster::DistanceMatrix;
 use vqi_mining::similarity::SimilarityMeasure;
@@ -161,14 +161,12 @@ impl ModularPipeline {
                 raw.extend(self.extractor.extract(cg, weights, budget));
             }
             let codes = canonical_codes(&raw);
-            let mut candidates: Vec<(Graph, CanonicalCode)> = Vec::new();
             let mut seen = std::collections::HashSet::new();
-            for (cand, code) in raw.into_iter().zip(codes) {
-                if seen.insert(code.clone()) {
-                    candidates.push((cand, code));
-                }
-            }
-            candidates
+            raw.into_iter()
+                .zip(codes)
+                .filter(|(_, code)| seen.insert(code.clone()))
+                .map(|(cand, _)| cand)
+                .collect::<Vec<Graph>>()
         });
         let candidates = match extracted {
             Ok(c) => c,
@@ -181,13 +179,13 @@ impl ModularPipeline {
 
         // common final selection: greedy coverage/diversity/cognitive-load
         let _select = vqi_observe::span("modular.select");
-        let coverages = coverage_bitsets(&candidates, collection, |(c, _)| c);
+        let coverages = coverage_bitsets(&candidates, collection, |c| c);
         let provenance = format!("modular:{}", self.describe());
         let pool: Vec<Scored> = candidates
             .into_iter()
             .zip(coverages)
             .filter(|(_, coverage)| coverage.any())
-            .map(|((graph, code), coverage)| Scored::new(graph, code, coverage, provenance.clone()))
+            .map(|(graph, coverage)| Scored::new(graph, coverage, provenance.clone()))
             .collect();
         anytime_greedy(pool, n, budget, self.weights, "modular.select", ctrl, deg)
     }
@@ -228,6 +226,7 @@ impl PatternSelector for ModularPipeline {
 mod tests {
     use super::*;
     use crate::stages::*;
+    use vqi_graph::canon::CanonicalCode;
     use vqi_graph::generate::{chain, cycle, star};
     use vqi_graph::traversal::is_connected;
 
@@ -339,8 +338,8 @@ mod tests {
         let _guard = crate::fault_test_lock();
         let col = collection();
         let budget = PatternBudget::new(4, 4, 6);
-        // warm-up fills the kernel caches so every measured run sees
-        // the same cache-hit pattern
+        // warm-up builds every graph's lazily built index and code, so
+        // every measured run does the same work
         ModularPipeline::standard().run(&col, &budget);
         let run = || drop(ModularPipeline::standard().run(&col, &budget));
         let one = observed_aggregates(1, run);
