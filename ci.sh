@@ -203,7 +203,16 @@ target/debug/vqi construct --input "$trace_dir/net.json" --selector tattoo \
 grep -q '"ph":"B"' "$trace_dir/trace.json"
 grep -q '"ph":"E"' "$trace_dir/trace.json"
 grep -q '"kernel\.' "$trace_dir/metrics.json"
+# the table's profile comes from the journal, the one span tree
+target/debug/vqi construct --input "$trace_dir/net.json" --selector tattoo \
+    --metrics >/dev/null 2>"$trace_dir/metrics.txt"
+grep -q '== profile (total vs self) ==' "$trace_dir/metrics.txt"
+grep -q 'critical path:' "$trace_dir/metrics.txt"
 rm -rf "$trace_dir"
+# every pipeline's span tree (profile paths and counts) and event
+# multiset must be identical at caps 1/2/4, sharded TATTOO's spans on
+# par workers included; named so a renamed test cannot drop out
+named_test -p catapult -p tattoo -p midas -p vqi-modular observability_is_identical_across_thread_counts
 
 echo "== serve smoke (loopback session mix, snapshot-isolation verified) =="
 # boot the multi-tenant service core and drive a mixed burst at one and

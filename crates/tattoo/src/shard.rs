@@ -373,6 +373,35 @@ mod tests {
         }
     }
 
+    /// The only pipeline whose spans open on `par` workers
+    /// (`ShardExecutor::run_shard`): the journal must parent them under
+    /// the forking span, so its span tree and event multiset are the
+    /// same at every thread cap.
+    #[test]
+    fn observability_is_identical_across_thread_counts() {
+        let _guard = crate::fault_test_lock();
+        let net = dblp_like(300, 3);
+        let budget = PatternBudget::new(4, 3, 5);
+        let sel = ShardedTattoo::new(TattooConfig::default(), 4);
+        let at = |cap: usize| {
+            vqi_graph::par::set_thread_cap(cap);
+            let aggregates = vqi_observe::invariant_aggregates(|| drop(sel.run(&net, &budget)));
+            vqi_graph::par::set_thread_cap(0);
+            aggregates
+        };
+        let one = at(1);
+        let shard = "tattoo.shard.map/tattoo.shard.shard".to_string();
+        assert!(
+            one.0.contains(&(shard, 4)),
+            "shard spans must nest under the map span: {:?}",
+            one.0
+        );
+        assert!(one.1.values().sum::<u64>() > 0, "no journal events");
+        for cap in [2, 4] {
+            assert_eq!(at(cap), one, "cap {cap} changed the observability output");
+        }
+    }
+
     #[test]
     fn sharded_selection_contract_holds() {
         let _guard = crate::fault_test_lock();

@@ -81,15 +81,18 @@ truncated, final epoch, collection digest — without serving load.
 Any command also accepts --metrics[=table|json]: pipeline spans,
 counters, and gauges are recorded while the command runs and the
 *per-run* delta (this command only, not process lifetime) is printed
-to stderr afterwards (stdout stays clean).
+to stderr afterwards (stdout stays clean). The table also records the
+run into the trace journal and prints its profile: the span tree with
+count, total and self time per path, and the critical path (a line
+says so when a full journal made the profile partial). json prints
+the counters, gauges, spans and value histograms only.
 
 Any command also accepts --trace-out=FILE: the run is recorded into
 the structured trace journal and exported when the command finishes —
 as flamegraph collapsed stacks when FILE ends in .folded or .txt, as
 Chrome trace_event JSON (load in chrome://tracing or Perfetto)
-otherwise. Combined with --metrics, a total/self-time profile of the
-run is printed to stderr as well. Injected faults, budget trips, and
-degraded stages appear as instant events in the trace.
+otherwise. Injected faults, budget trips, and degraded stages appear
+as instant events in the trace.
 
 construct and evaluate also accept a run budget:
   --deadline-ms N   wall-clock budget for selection; when it trips the

@@ -26,7 +26,8 @@ fn main() {
     if metrics_mode.is_some() || trace_out.is_some() {
         vqi_observe::set_enabled(true);
     }
-    if trace_out.is_some() {
+    // the table's profile is built from the journal, the one span tree
+    if metrics_mode.as_deref() == Some("table") || trace_out.is_some() {
         vqi_observe::set_journal_enabled(true);
         vqi_observe::journal_reset();
     }
@@ -55,9 +56,13 @@ fn main() {
                         "{}",
                         vqi_observe::snapshot().delta(&baseline).render_table()
                     );
-                    if vqi_observe::journal_enabled() {
-                        let events = vqi_observe::journal_events();
-                        eprint!("{}", vqi_observe::profile(&events, None).render());
+                    let events = vqi_observe::journal_events();
+                    eprint!("{}", vqi_observe::profile(&events, None).render());
+                    let dropped = vqi_observe::journal_dropped();
+                    if dropped > 0 {
+                        eprintln!(
+                            "profile is partial: the trace journal overwrote {dropped} events"
+                        );
                     }
                 }
                 None => {}

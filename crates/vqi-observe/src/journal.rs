@@ -1,11 +1,12 @@
 //! The run-scoped trace journal.
 //!
 //! While the [`Registry`](crate::Registry) keeps *aggregates*
-//! (histograms, counters, a path-keyed trace tree), the journal keeps
-//! the *events themselves*: span begin/end pairs and instant markers,
-//! each stamped with a [`TraceCtx`] — `run_id` (one per pipeline run),
-//! `span_id` (one per span occurrence), `parent_id` (the enclosing
-//! span occurrence). Parentage is explicit rather than implied by
+//! (histograms, counters, gauges), the journal keeps the *events
+//! themselves*, and with them the workspace's only span hierarchy:
+//! span begin/end pairs and instant markers, each stamped with a
+//! [`TraceCtx`] — `run_id` (one per pipeline run), `span_id` (one per
+//! span occurrence), `parent_id` (the enclosing span occurrence).
+//! Parentage is explicit rather than implied by
 //! thread-local nesting, which is what lets spans opened on
 //! `vqi_graph::par` worker threads parent correctly under the span
 //! that forked them: the executor captures [`current_ctx`] before
@@ -249,7 +250,7 @@ pub fn journal_events() -> Vec<Event> {
     all
 }
 
-fn record(kind: EventKind, run_id: u64, span_id: u64, parent_id: u64, name: &str) {
+fn record(kind: EventKind, run_id: u64, span_id: u64, parent_id: u64, name: String) {
     let ts_ns = epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64;
     let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     Journal::global().push(Event {
@@ -260,16 +261,17 @@ fn record(kind: EventKind, run_id: u64, span_id: u64, parent_id: u64, name: &str
         run_id,
         span_id,
         parent_id,
-        name: name.to_string(),
+        name,
     });
 }
 
-/// Live journal state of one span guard: the context it opened and the
-/// context to restore when it closes.
+/// Live journal state of one span guard: the context it opened, the
+/// context to restore when it closes, and the name its End carries.
 #[derive(Debug)]
 pub(crate) struct JournalSpan {
     ctx: TraceCtx,
     prev: TraceCtx,
+    name: String,
 }
 
 /// Called by `SpanGuard::enter`: records a Begin event and installs
@@ -290,21 +292,25 @@ pub(crate) fn begin_span(name: &str) -> Option<JournalSpan> {
         ctx.run_id,
         ctx.span_id,
         ctx.parent_id,
-        name,
+        name.to_string(),
     );
-    Some(JournalSpan { ctx, prev })
+    Some(JournalSpan {
+        ctx,
+        prev,
+        name: name.to_string(),
+    })
 }
 
 /// Called by `SpanGuard::drop`: records the matching End event (even
 /// if the journal was disarmed mid-span, so traces stay balanced) and
 /// restores the previous context.
-pub(crate) fn end_span(span: JournalSpan, name: &str) {
+pub(crate) fn end_span(span: JournalSpan) {
     record(
         EventKind::End,
         span.ctx.run_id,
         span.ctx.span_id,
         span.ctx.parent_id,
-        name,
+        span.name,
     );
     CURRENT.with(|c| c.set(span.prev));
 }
@@ -357,7 +363,7 @@ pub fn instant(name: &str) {
         return;
     }
     let c = CURRENT.with(Cell::get);
-    record(EventKind::Instant, c.run_id, 0, c.span_id, name);
+    record(EventKind::Instant, c.run_id, 0, c.span_id, name.to_string());
 }
 
 /// Opens a **run**: mints a fresh `run_id` (when the journal is
@@ -1059,7 +1065,10 @@ mod tests {
                 let _a = crate::span("jtest.inv.stage");
             }
         });
-        assert!(spans.contains(&("jtest.inv.stage".to_string(), 3)));
+        assert_eq!(
+            spans,
+            [("jtest.inv", 1), ("jtest.inv/jtest.inv.stage", 3)].map(|(p, n)| (p.to_string(), n))
+        );
         assert_eq!(events["begin|jtest.inv.stage|jtest.inv"], 3);
         assert!(!crate::enabled() && !journal_enabled(), "recording left on");
     }

@@ -4,9 +4,12 @@
 //! Every pipeline in this workspace (CATAPULT, TATTOO, MIDAS, the
 //! modular assembly) reports into one global, thread-safe
 //! [`Registry`]: named [`Counter`]s and [`Gauge`]s, log-scale
-//! [`Histogram`]s, and wall-time spans that also maintain a
-//! parent/child trace tree. Snapshots export as an aligned text table
-//! or JSON via [`MetricsReport`].
+//! [`Histogram`]s, and one wall-time histogram per span name.
+//! Snapshots export as an aligned text table or JSON via
+//! [`MetricsReport`]. Span nesting is recorded once, by the trace
+//! [`journal`]: its events parent across `par` workers, and
+//! [`profile`] folds them into the span tree (count, total and self
+//! time per `/`-joined path, plus the critical path).
 //!
 //! Recording is **off by default** and gated by one relaxed atomic
 //! load, so instrumented hot paths cost nothing measurable until
@@ -55,7 +58,7 @@ pub use journal::{
     Profile, ProfileNode, RunGuard, TraceCtx, TraceStats,
 };
 pub use registry::Registry;
-pub use report::{fmt_ns, MetricsReport, TraceNode};
+pub use report::{fmt_ns, MetricsReport};
 pub use span::SpanGuard;
 
 /// Whether the global registry is recording.
@@ -70,8 +73,9 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Opens a wall-time span; the returned guard records into the
-/// histogram named `name` (and the trace tree) when dropped. A no-op
-/// guard is returned while recording is disabled.
+/// histogram named `name` when dropped, and into the trace journal
+/// (which holds the span tree) while that is armed. A no-op guard is
+/// returned while recording is disabled.
 #[inline]
 pub fn span(name: &str) -> SpanGuard {
     if !enabled() {
@@ -82,8 +86,9 @@ pub fn span(name: &str) -> SpanGuard {
 
 /// [`span`] taking deferred format arguments: the name is only
 /// materialized when recording is enabled, and a literal with no
-/// interpolations (`span!("kernel.canon")`) borrows the static string
-/// instead of allocating. Prefer the [`span!`] macro.
+/// interpolations (`span!("kernel.canon")`) borrows the static string:
+/// once its histogram is registered, such a span allocates nothing
+/// while the journal is disarmed. Prefer the [`span!`] macro.
 #[inline]
 pub fn span_fmt(args: std::fmt::Arguments<'_>) -> SpanGuard {
     if !enabled() {
@@ -152,31 +157,36 @@ pub fn reset() {
 
 /// Runs `work` with metrics and the trace journal armed and returns the
 /// order-normalized aggregates a deterministic pipeline must reproduce
-/// at any thread count: per-name span invocation counts (sorted by
-/// name) and the journal [`event_multiset`]. Durations and
-/// `kernel.par.*` dispatch counters legitimately vary with the worker
-/// count and are excluded. The registry and journal are cleared before
-/// and after, and recording is left off.
+/// at any thread count: the journal [`profile`]'s `(span path, count)`
+/// pairs (sorted by path) and the journal [`event_multiset`].
+/// Durations and `kernel.par.*` dispatch counters legitimately vary
+/// with the worker count and are excluded. The journal is cleared
+/// before and after, the registry after, and recording is left off.
+///
+/// # Panics
+///
+/// If the journal dropped events: which events a full ring overwrites
+/// depends on thread placement, so the aggregates would not compare.
 pub fn invariant_aggregates(
     work: impl FnOnce(),
 ) -> (Vec<(String, u64)>, std::collections::BTreeMap<String, u64>) {
-    reset();
     set_enabled(true);
     set_journal_enabled(true);
     journal_reset();
     work();
-    let multiset = event_multiset(&journal_events());
-    let mut span_counts: Vec<(String, u64)> = snapshot()
-        .spans
-        .iter()
-        .map(|(name, h)| (name.clone(), h.count))
-        .collect();
-    span_counts.sort();
+    let events = journal_events();
+    let dropped = journal_dropped();
     set_journal_enabled(false);
     set_enabled(false);
     journal_reset();
     reset();
-    (span_counts, multiset)
+    assert_eq!(
+        dropped, 0,
+        "the journal dropped events; the aggregates would not compare"
+    );
+    let paths = profile(&events, None).nodes.into_iter();
+    let paths = paths.map(|(path, node)| (path, node.count)).collect();
+    (paths, event_multiset(&events))
 }
 
 /// Opens a span with a formatted name, deferring the formatting until

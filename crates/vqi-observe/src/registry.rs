@@ -1,26 +1,17 @@
 //! The global metric registry.
 //!
 //! One process-wide [`Registry`] owns every named counter, gauge,
-//! histogram, span histogram, and trace-tree node. Handles are `Arc`s,
+//! histogram, and span histogram. Handles are `Arc`s,
 //! so the maps are only touched on first registration (read-mostly
 //! `RwLock`); the hot path of every instrument is a relaxed atomic on
 //! the handle itself.
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::Histogram;
-use crate::report::{MetricsReport, TraceNode};
+use crate::report::MetricsReport;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
-
-/// Aggregated statistics of one trace-tree path.
-#[derive(Debug, Default)]
-pub struct TreeStat {
-    /// Number of times the path was entered.
-    pub count: AtomicU64,
-    /// Total nanoseconds spent on the path (children included).
-    pub total_ns: AtomicU64,
-}
 
 /// A named-metric registry. Usually accessed through [`Registry::global`].
 #[derive(Debug, Default)]
@@ -32,8 +23,6 @@ pub struct Registry {
     histograms: RwLock<HashMap<String, Arc<Histogram>>>,
     /// Span wall-time histograms, keyed by span name, in nanoseconds.
     spans: RwLock<HashMap<String, Arc<Histogram>>>,
-    /// Parent/child trace aggregates, keyed by `/`-joined span paths.
-    tree: RwLock<HashMap<String, Arc<TreeStat>>>,
 }
 
 /// Takes a read guard, recovering from poisoning: the maps only ever
@@ -102,13 +91,6 @@ impl Registry {
         lookup(&self.spans, name)
     }
 
-    /// Records one completed span occurrence on the trace tree.
-    pub fn record_tree(&self, path: &str, ns: u64) {
-        let stat = lookup(&self.tree, path);
-        stat.count.fetch_add(1, Ordering::Relaxed);
-        stat.total_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// A point-in-time report of everything recorded so far.
     pub fn snapshot(&self) -> MetricsReport {
         let mut report = MetricsReport::default();
@@ -128,15 +110,6 @@ impl Registry {
                 report.spans.insert(k.clone(), v.snapshot());
             }
         }
-        for (k, v) in read(&self.tree).iter() {
-            report.trace.insert(
-                k.clone(),
-                TraceNode {
-                    count: v.count.load(Ordering::Relaxed),
-                    total_ns: v.total_ns.load(Ordering::Relaxed),
-                },
-            );
-        }
         report
     }
 
@@ -153,10 +126,6 @@ impl Registry {
         }
         for v in read(&self.spans).values() {
             v.reset();
-        }
-        for v in read(&self.tree).values() {
-            v.count.store(0, Ordering::Relaxed);
-            v.total_ns.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -181,13 +150,11 @@ mod tests {
         r.gauge("sys.phase.inflight").set(3);
         r.histogram("sys.phase.size").record(17);
         r.span_histogram("sys.phase").record(1_000);
-        r.record_tree("sys.phase", 1_000);
         let s = r.snapshot();
         assert_eq!(s.counters["sys.phase.count"], 1);
         assert_eq!(s.gauges["sys.phase.inflight"], 3);
         assert_eq!(s.values["sys.phase.size"].count, 1);
         assert_eq!(s.spans["sys.phase"].count, 1);
-        assert_eq!(s.trace["sys.phase"].total_ns, 1_000);
     }
 
     #[test]
@@ -230,7 +197,6 @@ mod tests {
             let _g = rc.gauges.write().unwrap();
             let _h = rc.histograms.write().unwrap();
             let _s = rc.spans.write().unwrap();
-            let _t = rc.tree.write().unwrap();
             panic!("poison the registry");
         })
         .join();
@@ -241,13 +207,12 @@ mod tests {
         r.gauge("poison.gauge").set(5);
         r.histogram("poison.hist").record(7);
         r.span_histogram("poison.span").record(1_000);
-        r.record_tree("poison.span", 1_000);
         let s = r.snapshot();
         assert_eq!(s.counters["poison.before"], 3);
         assert_eq!(s.counters["poison.after"], 1);
         assert_eq!(s.gauges["poison.gauge"], 5);
         assert_eq!(s.values["poison.hist"].count, 1);
-        assert_eq!(s.trace["poison.span"].total_ns, 1_000);
+        assert_eq!(s.spans["poison.span"].sum, 1_000);
         r.reset();
         assert_eq!(r.counter("poison.before").get(), 0);
     }

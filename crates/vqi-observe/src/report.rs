@@ -3,20 +3,12 @@
 //! A [`MetricsReport`] is a point-in-time copy of the registry, cheap
 //! to clone and safe to hold across further recording. It renders as a
 //! human-readable table ([`MetricsReport::render_table`]) or as JSON
-//! ([`MetricsReport::to_json`]).
+//! ([`MetricsReport::to_json`]). Span nesting is not part of it: the
+//! trace journal's [`profile`](crate::profile) holds the span tree.
 
 use crate::histogram::{bucket_upper_bound, HistogramSnapshot};
 use crate::json::{Json, ToJson};
 use std::collections::BTreeMap;
-
-/// Aggregate of one trace-tree path (`parent/child` span nesting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceNode {
-    /// Times the path was entered.
-    pub count: u64,
-    /// Total nanoseconds on the path, children included.
-    pub total_ns: u64,
-}
 
 /// A point-in-time snapshot of every metric in a registry.
 #[derive(Debug, Clone, Default)]
@@ -29,8 +21,6 @@ pub struct MetricsReport {
     pub values: BTreeMap<String, HistogramSnapshot>,
     /// Span wall-time histograms by span name, in nanoseconds.
     pub spans: BTreeMap<String, HistogramSnapshot>,
-    /// Trace tree keyed by `/`-joined span paths.
-    pub trace: BTreeMap<String, TraceNode>,
 }
 
 /// Formats nanoseconds as a compact human duration.
@@ -53,14 +43,13 @@ impl MetricsReport {
             && self.gauges.is_empty()
             && self.values.is_empty()
             && self.spans.is_empty()
-            && self.trace.is_empty()
     }
 
     /// Subtracts an earlier snapshot of the *same* registry, leaving
     /// only what was recorded in between — this is how the CLI turns
-    /// process-lifetime aggregates into per-run metrics. Counters,
-    /// histograms, and trace nodes subtract (entries with a zero count
-    /// delta are omitted); gauges are *levels*, not totals, so the
+    /// process-lifetime aggregates into per-run metrics. Counters and
+    /// histograms subtract (entries with a zero count delta are
+    /// omitted); gauges are *levels*, not totals, so the
     /// current value is kept as-is for any gauge that changed.
     pub fn delta(&self, baseline: &MetricsReport) -> MetricsReport {
         let mut d = MetricsReport::default();
@@ -88,16 +77,6 @@ impl MetricsReport {
                 d.spans.insert(k.clone(), dh);
             }
         }
-        for (k, &node) in &self.trace {
-            let base = baseline.trace.get(k).copied().unwrap_or_default();
-            let dn = TraceNode {
-                count: node.count.saturating_sub(base.count),
-                total_ns: node.total_ns.saturating_sub(base.total_ns),
-            };
-            if dn.count > 0 {
-                d.trace.insert(k.clone(), dn);
-            }
-        }
         d
     }
 
@@ -115,7 +94,6 @@ impl MetricsReport {
             .chain(self.counters.keys())
             .chain(self.gauges.keys())
             .map(|k| k.len())
-            .chain(self.trace.keys().map(|k| display_depth_len(k)))
             .max()
             .unwrap_or(4)
             .max(4);
@@ -163,22 +141,6 @@ impl MetricsReport {
                 ));
             }
         }
-        if !self.trace.is_empty() {
-            out.push_str(&format!(
-                "trace tree\n{:<name_w$}  {:>8}  {:>10}\n",
-                "path", "count", "total"
-            ));
-            for (path, node) in &self.trace {
-                let depth = path.matches('/').count();
-                let leaf = path.rsplit('/').next().unwrap_or(path);
-                let indented = format!("{}{leaf}", "  ".repeat(depth));
-                out.push_str(&format!(
-                    "{indented:<name_w$}  {:>8}  {:>10}\n",
-                    node.count,
-                    fmt_ns(node.total_ns as f64),
-                ));
-            }
-        }
         out
     }
 
@@ -187,28 +149,14 @@ impl MetricsReport {
         fn map<T>(m: &BTreeMap<String, T>, f: impl Fn(&T) -> Json) -> Json {
             Json::Object(m.iter().map(|(k, v)| (k.clone(), f(v))).collect())
         }
-        let trace_node = |n: &TraceNode| {
-            Json::object([
-                ("count", n.count.to_json()),
-                ("total_ns", n.total_ns.to_json()),
-            ])
-        };
         Json::object([
             ("counters", map(&self.counters, ToJson::to_json)),
             ("gauges", map(&self.gauges, ToJson::to_json)),
             ("spans", map(&self.spans, |h| histogram_json(h, "_ns"))),
             ("values", map(&self.values, |h| histogram_json(h, ""))),
-            ("trace", map(&self.trace, trace_node)),
         ])
         .pretty()
     }
-}
-
-/// Width of a trace path rendered with two-space indentation.
-fn display_depth_len(path: &str) -> usize {
-    let depth = path.matches('/').count();
-    let leaf = path.rsplit('/').next().unwrap_or(path);
-    2 * depth + leaf.len()
 }
 
 /// One histogram: count, then `unit`-suffixed sum/min/max/mean and
@@ -246,20 +194,7 @@ mod tests {
             h.record(v);
         }
         r.spans.insert("catapult.mine".into(), h.snapshot());
-        r.trace.insert(
-            "catapult.run".into(),
-            TraceNode {
-                count: 1,
-                total_ns: 9_000_000,
-            },
-        );
-        r.trace.insert(
-            "catapult.run/catapult.mine".into(),
-            TraceNode {
-                count: 3,
-                total_ns: 7_000_000,
-            },
-        );
+        r.values.insert("catapult.walk.size".into(), h.snapshot());
         r
     }
 
@@ -270,9 +205,10 @@ mod tests {
         assert!(t.contains("catapult.mine"));
         assert!(t.contains("counters"));
         assert!(t.contains("catapult.walk.candidates"));
-        assert!(t.contains("trace tree"));
-        // nested path renders indented under its parent leaf name
-        assert!(t.contains("\n  catapult.mine"), "indented child:\n{t}");
+        assert!(t.contains("gauges"));
+        assert!(t.contains("tattoo.map.in_flight"));
+        assert!(t.contains("value histograms"));
+        assert!(t.contains("catapult.walk.size"));
     }
 
     #[test]
@@ -294,8 +230,9 @@ mod tests {
         assert!(j.contains("\"catapult.walk.candidates\": 120"));
         assert!(j.contains("\"spans\""));
         assert!(j.contains("\"p50_ns\""));
-        assert!(j.contains("\"trace\""));
-        assert!(j.contains("\"total_ns\": 9000000"));
+        assert!(j.contains("\"gauges\""));
+        assert!(j.contains("\"values\""));
+        assert!(j.contains("\"sum_ns\": 7000000"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
@@ -312,18 +249,15 @@ mod tests {
             h.record(v);
         }
         after.spans.insert("catapult.mine".into(), h.snapshot());
-        after.trace.get_mut("catapult.run").unwrap().count += 1;
-        after.trace.get_mut("catapult.run").unwrap().total_ns += 5_000_000;
 
         let d = after.delta(&before);
         assert_eq!(d.counters["catapult.walk.candidates"], 30);
         assert_eq!(d.counters["fault.injected"], 2);
         assert_eq!(d.gauges["tattoo.map.in_flight"], 4, "gauges keep level");
         assert_eq!(d.spans["catapult.mine"].count, 1, "one new span");
-        assert_eq!(d.trace["catapult.run"].count, 1);
-        assert_eq!(d.trace["catapult.run"].total_ns, 5_000_000);
-        // the unchanged trace path is omitted entirely
-        assert!(!d.trace.contains_key("catapult.run/catapult.mine"));
+        assert_eq!(d.spans["catapult.mine"].sum, 8_000_000);
+        // the unchanged value histogram is omitted entirely
+        assert!(!d.values.contains_key("catapult.walk.size"));
         // a no-op delta is empty
         assert!(before.delta(&before).is_empty());
     }

@@ -3,18 +3,15 @@
 //! [`span`](crate::span) returns a guard; when the guard drops — on
 //! normal scope exit *or* during unwinding — the elapsed wall time is
 //! recorded into the span's log-scale histogram (keyed by the span
-//! name) and onto the trace tree (keyed by the `/`-joined path of
-//! enclosing spans on this thread). With metrics disabled the guard is
-//! a no-op `None` and entering costs one relaxed load.
+//! name) and, while the trace journal is recording, as the span's End
+//! event. Parent/child structure lives only in the journal, which
+//! parents spans across `par` workers. With metrics disabled the guard
+//! is a no-op `None` and entering costs one relaxed load.
 
+use crate::histogram::Histogram;
 use crate::registry::Registry;
-use std::cell::RefCell;
+use std::sync::Arc;
 use std::time::Instant;
-
-thread_local! {
-    /// Full paths of the spans currently open on this thread.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
 
 /// A live span; records on drop.
 #[derive(Debug)]
@@ -25,8 +22,7 @@ pub struct SpanGuard {
 
 #[derive(Debug)]
 struct SpanInner {
-    name: String,
-    path: String,
+    histogram: Arc<Histogram>,
     start: Instant,
     /// Journal bookkeeping when the trace journal is recording.
     journal: Option<crate::journal::JournalSpan>,
@@ -41,20 +37,11 @@ impl SpanGuard {
     /// Opens a span on the global registry (the public entry point is
     /// [`crate::span`], which checks the enabled flag first).
     pub(crate) fn enter(name: &str) -> Self {
-        let path = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = match stack.last() {
-                Some(parent) => format!("{parent}/{name}"),
-                None => name.to_string(),
-            };
-            stack.push(path.clone());
-            path
-        });
+        let histogram = Registry::global().span_histogram(name);
         let journal = crate::journal::begin_span(name);
         SpanGuard {
             inner: Some(SpanInner {
-                name: name.to_string(),
-                path,
+                histogram,
                 start: Instant::now(),
                 journal,
             }),
@@ -72,24 +59,14 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(mut inner) = self.inner.take() else {
+        let Some(inner) = self.inner.take() else {
             return;
         };
         let ns = inner.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if let Some(journal) = inner.journal.take() {
-            crate::journal::end_span(journal, &inner.name);
+        if let Some(journal) = inner.journal {
+            crate::journal::end_span(journal);
         }
-        let registry = Registry::global();
-        registry.span_histogram(&inner.name).record(ns);
-        registry.record_tree(&inner.path, ns);
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // guards drop LIFO in well-formed code; scan from the end so
-            // an out-of-order drop still removes the right entry
-            if let Some(pos) = stack.iter().rposition(|p| p == &inner.path) {
-                stack.remove(pos);
-            }
-        });
+        inner.histogram.record(ns);
     }
 }
 
@@ -103,24 +80,34 @@ mod tests {
         crate::test_lock()
     }
 
+    /// Runs `f` with metrics and the journal armed and returns the
+    /// journal's profile of it; recording is left off.
+    fn profiled(f: impl FnOnce()) -> crate::Profile {
+        crate::set_enabled(true);
+        crate::set_journal_enabled(true);
+        crate::journal_reset();
+        f();
+        let events = crate::journal_events();
+        crate::set_journal_enabled(false);
+        crate::set_enabled(false);
+        crate::journal_reset();
+        crate::profile(&events, None)
+    }
+
     #[test]
     fn span_records_histogram_and_tree() {
         let _l = lock();
-        Registry::global().set_enabled(true);
-        {
+        let p = profiled(|| {
             let _outer = crate::span("spantest.outer");
             let _inner = crate::span("spantest.inner");
             std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        Registry::global().set_enabled(false);
+        });
         let s = Registry::global().snapshot();
         assert_eq!(s.spans["spantest.outer"].count, 1);
         assert_eq!(s.spans["spantest.inner"].count, 1);
         assert!(s.spans["spantest.inner"].max >= 1_000_000, "slept >= 1ms");
-        assert!(s.trace.contains_key("spantest.outer/spantest.inner"));
-        assert!(
-            s.trace["spantest.outer"].total_ns >= s.trace["spantest.outer/spantest.inner"].total_ns
-        );
+        let nested = &p.nodes["spantest.outer/spantest.inner"];
+        assert!(p.nodes["spantest.outer"].total_ns >= nested.total_ns);
     }
 
     #[test]
@@ -138,34 +125,36 @@ mod tests {
     #[test]
     fn span_records_during_unwinding() {
         let _l = lock();
-        Registry::global().set_enabled(true);
+        crate::set_enabled(true);
+        crate::set_journal_enabled(true);
+        let before = crate::current_ctx();
         let result = std::panic::catch_unwind(|| {
             let _g = crate::span("spantest.unwind");
             panic!("boom");
         });
-        Registry::global().set_enabled(false);
+        // the unwound span must not stay the thread's open context
+        let after = crate::current_ctx();
+        crate::set_journal_enabled(false);
+        crate::set_enabled(false);
+        crate::journal_reset();
         assert!(result.is_err());
+        assert_eq!(after, before);
         let s = Registry::global().snapshot();
         assert_eq!(s.spans["spantest.unwind"].count, 1);
-        // the unwound span must not linger on the stack
-        SPAN_STACK.with(|st| {
-            assert!(st.borrow().iter().all(|p| !p.contains("spantest.unwind")));
-        });
     }
 
     #[test]
     fn sibling_spans_share_a_parentless_path() {
         let _l = lock();
-        Registry::global().set_enabled(true);
-        {
-            let _a = crate::span("spantest.sib");
-        }
-        {
-            let _b = crate::span("spantest.sib");
-        }
-        Registry::global().set_enabled(false);
-        let s = Registry::global().snapshot();
-        assert_eq!(s.spans["spantest.sib"].count, 2);
-        assert_eq!(s.trace["spantest.sib"].count, 2);
+        let p = profiled(|| {
+            {
+                let _a = crate::span("spantest.sib");
+            }
+            {
+                let _b = crate::span("spantest.sib");
+            }
+        });
+        assert_eq!(Registry::global().snapshot().spans["spantest.sib"].count, 2);
+        assert_eq!(p.nodes["spantest.sib"].count, 2);
     }
 }
